@@ -6,7 +6,8 @@ digits, or as a single JSON document with --format json.  A --config file of
 flat key=value pairs supplies defaults that explicit flags override.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 numeric failure
-(vanishing norm, empty statistics, or a failed self-check residual).
+(vanishing or non-finite norm, empty statistics, degenerate observable, or a
+failed self-check residual): every other package error.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import numpy as np
 from . import __version__
 from .correlations import correlators, k3_curve, quantum_witness
 from .dilation import dilation_report
-from .errors import (
-    DegenerateSpectrumError,
-    NoStatisticsError,
-    ParameterError,
-    RegimeError,
-    VanishingNormError,
-)
+from .errors import ParameterError, PtQubitError, RegimeError
 from .montecarlo import ShotConfig, k3_sampled, sample_conditional, witness_sampled
 from .optimize import (
     DEFAULT_PTB_RANGE,
@@ -38,7 +33,7 @@ from .optimize import (
     ep_discontinuity,
     sweep_gamma,
 )
-from .pt_dynamics import PtParams, speed_profile, trajectory
+from .pt_dynamics import EP_THRESHOLD, PtParams, speed_profile, trajectory
 from .qstate import minus_y
 
 SCHEMA_VERSION = "1"
@@ -197,10 +192,9 @@ def _cmd_evolve(resolver: _Resolver, args) -> int:
         "bloch_z",
         "distance",
     ]
-    rows = []
-    for tau, state, vec, dist in zip(traj.times, traj.states, traj.bloch, traj.distance):
-        a1, a2 = state.amplitudes
-        rows.append([tau, a1.real, a1.imag, a2.real, a2.imag, vec.x, vec.y, vec.z, dist])
+    # viewed as floats, each (a1, a2) row reads re_a1, im_a1, re_a2, im_a2
+    amplitudes = traj.states.view(float)
+    rows = np.column_stack([traj.times, amplitudes, traj.bloch, traj.distance]).tolist()
     return _emit(columns, rows, args, {"j": params.j, "gamma": params.gamma}, 0)
 
 
@@ -209,12 +203,12 @@ def _cmd_distance(resolver: _Resolver, args) -> int:
     grid = resolver.grid()
     traj = trajectory(minus_y(), params, grid)
     speeds = speed_profile(traj) if len(traj) >= 2 else np.zeros(1)
-    rows = [[t, d, v] for t, d, v in zip(traj.times, traj.distance, speeds)]
+    rows = np.column_stack([traj.times, traj.distance, speeds]).tolist()
     return _emit(["tau", "distance", "speed"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
 
 
-def _correlator_row(cs):
-    return [cs.t, cs.c12, cs.c23, cs.c13, cs.k3]
+def _correlator_rows(cs):
+    return np.column_stack([cs.t, cs.c12, cs.c23, cs.c13, cs.k3]).tolist()
 
 
 def _cmd_correlators(resolver: _Resolver, args) -> int:
@@ -223,7 +217,7 @@ def _cmd_correlators(resolver: _Resolver, args) -> int:
     cs = correlators(t_interval, params)
     return _emit(
         ["T", "C12", "C23", "C13", "K3"],
-        [_correlator_row(cs)],
+        _correlator_rows(cs),
         args,
         {"j": params.j, "gamma": params.gamma, "t": t_interval},
         0,
@@ -233,7 +227,7 @@ def _cmd_correlators(resolver: _Resolver, args) -> int:
 def _cmd_k3(resolver: _Resolver, args) -> int:
     params = resolver.params()
     grid = resolver.grid()
-    rows = [_correlator_row(cs) for cs in k3_curve(grid, params)]
+    rows = _correlator_rows(k3_curve(grid, params))
     return _emit(["T", "C12", "C23", "C13", "K3"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
 
 
@@ -254,6 +248,12 @@ def _cmd_k3max(resolver: _Resolver, args) -> int:
             0,
         )
     grid = resolver.grid()
+    if np.any(np.abs(grid - 1.0) <= EP_THRESHOLD):
+        raise ParameterError(
+            "the gamma/j grid touches the exceptional point 1, where the optimum is "
+            "discontinuous; choose a grid that avoids gamma/j = 1, or use --ep-report "
+            "for the limits on both sides"
+        )
     points = sweep_gamma(grid, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=tol)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
     return _emit(["gamma_over_j", "regime", "t_star", "k3_max"], rows, args, {"j": j}, 0)
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except (ParameterError, RegimeError) as exc:
         print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (VanishingNormError, NoStatisticsError, DegenerateSpectrumError) as exc:
+    except PtQubitError as exc:
         print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
         return 3
 

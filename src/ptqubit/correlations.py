@@ -11,8 +11,10 @@ three instants (0, T, 2T) then give
     C23 = p_T(+|-) p_T(+|+) - p_T(+|-) p_T(-|+)
         - p_T(-|-) p_T(+|-) + p_T(-|-) p_T(-|-)
 
-and K3 = C12 + C23 - C13.  C13 deliberately uses a single uninterrupted
-evolution of duration 2T, while C23 factorizes through the collapse at T.
+and K3 = C12 + C23 - C13 (see assemble_k3, shared with the finite-shot
+estimates).  C13 deliberately uses a single uninterrupted evolution of
+duration 2T, while C23 factorizes through the collapse at T.  Intervals may
+be scalars or arrays: a whole grid of T is propagated in one call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .pt_dynamics import PtParams, Regime, evolve_state_scaled
+from .pt_dynamics import PtParams, Regime, _evolve, evolve_state_scaled
 from .qstate import SIGMA_Y, Operator2, PureState, measure_projectors, minus_y, plus_y
 
 
@@ -67,13 +69,16 @@ DEFAULT_SCENARIO = MeasurementScenario()
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """Two-time correlators and K3 = C12 + C23 - C13 at one interval T."""
+    """Two-time correlators and K3 = C12 + C23 - C13 at intervals T.
 
-    t: float
-    c12: float
-    c23: float
-    c13: float
-    k3: float
+    Fields are floats for a single interval and arrays of T's shape for a grid.
+    """
+
+    t: float | np.ndarray
+    c12: float | np.ndarray
+    c23: float | np.ndarray
+    c13: float | np.ndarray
+    k3: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,54 +93,75 @@ class WitnessResult:
 def conditional_prob(
     q_out: int,
     q_in: int,
-    tau: float,
+    tau,
     params: PtParams,
     scenario: MeasurementScenario | None = None,
-) -> float:
+):
     """p_tau(q_out | q_in): Born probability after evolving an eigenstate.
 
-    tau is scaled time (tau in PTS/EP, w*t in PTB).  For each q_in the two
-    outcomes are complementary to machine precision because the evolved
+    tau is scaled time (tau in PTS/EP, w*t in PTB), a scalar or an array;
+    the result is a float, or an array of tau's shape.  For each q_in the
+    two outcomes are complementary to machine precision because the evolved
     state is renormalized before projection.
     """
     scenario = scenario or DEFAULT_SCENARIO
-    if tau < 0.0:
-        raise ParameterError(f"scaled time must be >= 0, got {tau}")
-    evolved = evolve_state_scaled(scenario.eigenstate(q_in), params, tau)
-    return scenario.eigenstate(q_out).fidelity(evolved)
+    evolved = _evolve(
+        scenario.eigenstate(q_in).amplitudes, params, params.time_from_scaled(tau)
+    )
+    p = np.abs(evolved @ scenario.eigenstate(q_out).amplitudes.conj()) ** 2
+    return p if p.ndim else float(p)
+
+
+def assemble_k3(a1, c, a2, b, a3):
+    """(C12, C23, C13, K3) from the five conditional probabilities of +1.
+
+    a1 = p_T(+|-) for C12, c = p_2T(+|-) for C13, and for C23 the collapse
+    probability a2 = p_T(+|-) with the re-evolution branches b = p_T(+|+)
+    and a3 = p_T(+|-).  The exact path passes a1 = a2 = a3; finite-shot
+    estimates draw each slot independently.  Works elementwise on arrays.
+    """
+    c12 = 1.0 - 2.0 * a1
+    c13 = 1.0 - 2.0 * c
+    c23 = a2 * b - a2 * (1.0 - b) - (1.0 - a2) * a3 + (1.0 - a2) * (1.0 - a3)
+    return c12, c23, c13, c12 + c23 - c13
+
+
+def k3_gradient(a1, c, a2, b, a3):
+    """Partial derivatives of K3 = assemble_k3(...)[3] in argument order.
+
+    Used for first-order (delta-method) error propagation.
+    """
+    return (-2.0, 2.0, 2.0 * b + 2.0 * a3 - 2.0, 2.0 * a2, -2.0 * (1.0 - a2))
 
 
 def correlators(
-    t_interval: float,
+    t_interval,
     params: PtParams,
     scenario: MeasurementScenario | None = None,
 ) -> CorrelatorSet:
-    """Correlator set at measurement interval T (scaled units).
+    """Correlator set at measurement intervals T (scaled units).
 
-    The protocol window is T in [0, pi/2] below the break (one flip period;
-    everything is periodic beyond it) and any T >= 0 on the hyperbolic side.
+    T is a scalar or an array; every field of the result then has T's shape
+    (floats for a scalar T).  The protocol window is T in [0, pi/2] below
+    the break (one flip period; everything is periodic beyond it) and any
+    T >= 0 on the hyperbolic side.
     """
     scenario = scenario or DEFAULT_SCENARIO
-    if t_interval < 0.0:
-        raise ParameterError(f"interval T must be >= 0, got {t_interval}")
-    p_plus_from_minus = conditional_prob(+1, -1, t_interval, params, scenario)
-    p_plus_from_plus = conditional_prob(+1, +1, t_interval, params, scenario)
-    p_plus_double = conditional_prob(+1, -1, 2.0 * t_interval, params, scenario)
-
-    a, b, c = p_plus_from_minus, p_plus_from_plus, p_plus_double
-    c12 = -a + (1.0 - a)
-    c13 = -c + (1.0 - c)
-    c23 = a * b - a * (1.0 - b) - (1.0 - a) * a + (1.0 - a) * (1.0 - a)
-    return CorrelatorSet(t=t_interval, c12=c12, c23=c23, c13=c13, k3=c12 + c23 - c13)
+    t = np.asarray(t_interval, dtype=float)
+    a = conditional_prob(+1, -1, t, params, scenario)
+    b = conditional_prob(+1, +1, t, params, scenario)
+    c = conditional_prob(+1, -1, 2.0 * t, params, scenario)
+    c12, c23, c13, k3 = assemble_k3(a, c, a, b, a)
+    return CorrelatorSet(t=t if t.ndim else float(t), c12=c12, c23=c23, c13=c13, k3=k3)
 
 
 def k3_curve(
     t_grid,
     params: PtParams,
     scenario: MeasurementScenario | None = None,
-) -> list[CorrelatorSet]:
-    """Correlator sets along a grid of intervals."""
-    return [correlators(float(t), params, scenario) for t in np.asarray(t_grid, dtype=float)]
+) -> CorrelatorSet:
+    """Correlator arrays along a grid of intervals, evaluated in one call."""
+    return correlators(np.asarray(t_grid, dtype=float), params, scenario)
 
 
 def witness_initial_state(params: PtParams) -> PureState:
@@ -164,8 +190,6 @@ def quantum_witness(params: PtParams, tau: float = math.pi / 4.0) -> WitnessResu
     preparation for the scaled time tau; p_with averages the same readout
     over the collapse outcomes of a sigma_y measurement performed at time 0.
     """
-    if tau < 0.0:
-        raise ParameterError(f"scaled time must be >= 0, got {tau}")
     psi0 = witness_initial_state(params)
     evolved = evolve_state_scaled(psi0, params, tau)
     p_without = plus_y().fidelity(evolved)

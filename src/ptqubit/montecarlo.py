@@ -19,7 +19,9 @@ import numpy as np
 from .correlations import (
     DEFAULT_SCENARIO,
     MeasurementScenario,
+    assemble_k3,
     conditional_prob,
+    k3_gradient,
     quantum_witness,
     witness_initial_state,
 )
@@ -183,31 +185,19 @@ def k3_sampled(
         variances[label] = _proportion_variance(estimates[label], accepted)
         counts[label] = accepted
 
-    def assemble(a1, c, a2, b, a3):
-        c12 = 1.0 - 2.0 * a1
-        c13 = 1.0 - 2.0 * c
-        c23 = a2 * b - a2 * (1.0 - b) - (1.0 - a2) * a3 + (1.0 - a2) * (1.0 - a3)
-        return c12 + c23 - c13
-
     ordered = list(slots)
-    k3 = assemble(*(estimates[s] for s in ordered))
+    proportions = [estimates[s] for s in ordered]
+    k3 = assemble_k3(*proportions)[3]
 
     if config.bootstrap:
         stderr = _bootstrap_stderr(
             [(counts[s], estimates[s]) for s in ordered],
-            assemble,
+            lambda *p: assemble_k3(*p)[3],
             substream(config.seed, "k3:bootstrap", 0),
         )
     else:
-        a2, b, a3 = estimates["k3:c23:collapse"], estimates["k3:c23:from+"], estimates["k3:c23:from-"]
-        gradients = {
-            "k3:c12": -2.0,
-            "k3:c13": 2.0,
-            "k3:c23:collapse": 2.0 * b + 2.0 * a3 - 2.0,
-            "k3:c23:from+": 2.0 * a2,
-            "k3:c23:from-": -2.0 * (1.0 - a2),
-        }
-        stderr = math.sqrt(sum(gradients[s] ** 2 * variances[s] for s in ordered))
+        gradient = k3_gradient(*proportions)
+        stderr = math.sqrt(sum(g**2 * variances[s] for g, s in zip(gradient, ordered)))
 
     return ShotRecord(
         accepted=sum(counts.values()),

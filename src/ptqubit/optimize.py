@@ -76,9 +76,10 @@ def max_k3_over_T(
 ) -> tuple[float, float]:
     """Global maximum of K3 over an interval range; returns (t_star, k3_max).
 
-    Dense scan with `grid_points` samples, then golden-section refinement of
-    the best grid cell down to |dT| < tol.  Ties break toward smaller T, and
-    the refinement can only improve on the scan.
+    Dense scan with `grid_points` samples, evaluated in one array call, then
+    scalar golden-section refinement of the best grid cell down to
+    |dT| < tol.  Ties break toward smaller T, and the refinement can only
+    improve on the scan.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if lo > hi:
@@ -95,14 +96,15 @@ def max_k3_over_T(
         return lo, objective(lo)
 
     grid = np.linspace(lo, hi, grid_points)
-    values = [objective(t) for t in grid]
+    values = correlators(grid, params, scenario).k3
     best = int(np.argmax(values))  # first (smallest-T) maximizer on ties
+    t_best, v_best = float(grid[best]), float(values[best])
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, grid_points - 1)]
     t_ref, v_ref = _golden_section_max(objective, bracket_lo, bracket_hi, tol)
-    if v_ref > values[best] or (v_ref == values[best] and t_ref < grid[best]):
+    if v_ref > v_best or (v_ref == v_best and t_ref < t_best):
         return t_ref, v_ref
-    return float(grid[best]), values[best]
+    return t_best, v_best
 
 
 def sweep_gamma(

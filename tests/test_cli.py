@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import ptqubit.cli
 from ptqubit.cli import main, parse_grid
-from ptqubit.errors import ParameterError
+from ptqubit.errors import NormalizationError, ParameterError
 
 PI = np.pi
 
@@ -52,6 +53,28 @@ class TestEvolve:
         assert status == 0
         header, rows = read_csv(out)
         assert abs(float(rows[-1][header.index("bloch_y")]) - 1.0) < 1e-9
+
+    def test_broken_regime_long_horizon_is_finite(self, capsys):
+        # w t = 400 overflows cosh; the normalized path must reach the fixed point
+        status, out, _ = run_cli(capsys, "evolve", "--gamma", "2", "--grid", "0:400:3")
+        assert status == 0
+        header, rows = read_csv(out)
+        values = np.array(rows, dtype=float)
+        assert np.all(np.isfinite(values))
+        amps = values[:, 1:5]
+        np.testing.assert_allclose(np.sum(amps**2, axis=1), 1.0, atol=1e-11)
+        np.testing.assert_allclose(values[1], [200.0, *values[2, 1:]], atol=1e-12)
+        # an overflowed state would read as zero amplitudes at distance pi/2
+        assert values[2, header.index("distance")] < np.pi / 2 - 0.1
+
+    def test_package_errors_map_to_exit_3(self, capsys, monkeypatch):
+        def failing(*args):
+            raise NormalizationError("norm is not finite")
+
+        monkeypatch.setattr(ptqubit.cli, "trajectory", failing)
+        status, _, err = run_cli(capsys, "evolve", "--grid", "0:1:5")
+        assert status == 3
+        assert "not finite" in err
 
     def test_empty_grid_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "evolve", "--grid", "0:1:0")
@@ -104,6 +127,14 @@ class TestCorrelatorCommands:
         header, rows = read_csv(out)
         assert abs(float(rows[-1][header.index("K3")]) - 2.8525) < 1e-9
 
+    def test_broken_regime_long_horizon_is_finite(self, capsys):
+        status, out, _ = run_cli(capsys, "k3", "--gamma", "2", "--grid", "0:400:3")
+        assert status == 0
+        header, rows = read_csv(out)
+        values = np.array(rows, dtype=float)
+        assert np.all(np.isfinite(values))
+        assert np.all(values[:, header.index("K3")] <= 3.0)
+
     def test_moderate_gain_breaks_the_cap(self, capsys):
         status, out, _ = run_cli(capsys, "k3", "--gamma", "0.6", "--grid", f"0:{PI / 4}:51")
         header, rows = read_csv(out)
@@ -128,6 +159,13 @@ class TestK3Max:
         jump = float(rows[0][header.index("jump")])
         assert abs(left - 3.0) < 1e-3
         assert jump == pytest.approx(right - left, abs=1e-9)
+
+    def test_ep_band_grid_names_cli_remedies(self, capsys):
+        status, out, err = run_cli(capsys, "k3max", "--grid", "0.9:1.1:3")
+        assert status == 2
+        assert out == ""
+        assert "--ep-report" in err and "avoids gamma/j = 1" in err
+        assert "allow_ep" not in err
 
 
 class TestWitness:

@@ -162,24 +162,24 @@ class TestCorrelators:
 class TestK3Curve:
     def test_hermitian_curve_respects_luders_cap(self):
         grid = np.linspace(0.0, np.pi / 2, 301)
-        values = [cs.k3 for cs in k3_curve(grid, PtParams(gamma=0.0))]
+        values = k3_curve(grid, PtParams(gamma=0.0)).k3
         assert max(values) <= 1.5 + 1e-9
 
     def test_moderate_gain_breaks_the_cap(self):
         grid = np.linspace(0.0, np.pi / 4, 201)
-        values = [cs.k3 for cs in k3_curve(grid, PtParams(gamma=0.6))]
+        values = k3_curve(grid, PtParams(gamma=0.6)).k3
         assert max(values) > 1.5
 
     def test_near_break_curve_peaks_at_quarter_interval(self):
         grid = np.linspace(0.0, np.pi / 4, 101)
-        values = [cs.k3 for cs in k3_curve(grid, PtParams(gamma=0.95))]
+        values = k3_curve(grid, PtParams(gamma=0.95)).k3
         assert max(values) == pytest.approx(2.8525, abs=2e-3)
         assert values[-1] == pytest.approx(2.8525, abs=1e-9)
 
     def test_matches_vectorized_oracle(self, rng):
         for gamma in (0.0, 0.4, 0.8):
             grid = np.linspace(0.0, np.pi / 2, 41)
-            ours = np.array([cs.k3 for cs in k3_curve(grid, PtParams(gamma=gamma))])
+            ours = k3_curve(grid, PtParams(gamma=gamma)).k3
             np.testing.assert_allclose(ours, oracles.k3_curve_unbroken(gamma, grid), atol=1e-10)
 
 

@@ -30,6 +30,11 @@ class TestPtParams:
             PtParams(j=-1.0)
         with pytest.raises(ParameterError):
             PtParams(gamma=-0.1)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                PtParams(j=value)
+            with pytest.raises(ParameterError):
+                PtParams(gamma=value)
 
     @pytest.mark.parametrize(
         "gamma,regime",
@@ -86,6 +91,14 @@ class TestPropagator:
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterError):
             propagator(PtParams(), -0.1)
+
+    def test_broken_regime_overflow_is_reported(self):
+        # cosh(w t) leaves the double range near w t = 710
+        params = PtParams(gamma=2.0)
+        with pytest.raises(ParameterError):
+            propagator(params, params.time_from_scaled(800.0))
+        with pytest.raises(ParameterError):
+            propagator(params, np.array([0.0, 1.0, params.time_from_scaled(800.0)]))
 
     def test_hermitian_quarter_period(self):
         np.testing.assert_allclose(
@@ -241,7 +254,7 @@ class TestTrajectory:
     def test_bloch_stays_in_yz_plane(self):
         grid = np.linspace(0.0, np.pi / 2, 31)
         traj = trajectory(minus_y(), PtParams(gamma=0.6), grid)
-        assert max(abs(vec.x) for vec in traj.bloch) < 1e-12
+        assert np.max(np.abs(traj.bloch[:, 0])) < 1e-12
 
 
 class TestSpeedProfile:
