@@ -15,13 +15,10 @@ from .correlations import (
     WitnessResult,
     conditional_prob,
     correlators,
-    k3_curve,
     quantum_witness,
     witness_initial_state,
 )
 from .dilation import (
-    DilatedState,
-    DilationUnitary,
     dilation_report,
     dilation_unitary,
     embed_initial,
@@ -65,18 +62,14 @@ from .qstate import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BlochVector,
     DensityMatrix,
     PureState,
-    basis_state,
     bloch_from,
     fubini_study_distance,
     is_hermitian,
-    is_unitary,
     measure_projectors,
     minus_y,
     plus_y,
-    rotation,
 )
 
 __all__ = [
@@ -84,20 +77,16 @@ __all__ = [
     # states and operators
     "PureState",
     "DensityMatrix",
-    "BlochVector",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY2",
-    "basis_state",
     "plus_y",
     "minus_y",
     "bloch_from",
     "fubini_study_distance",
-    "rotation",
     "measure_projectors",
     "is_hermitian",
-    "is_unitary",
     # dynamics
     "PtParams",
     "Regime",
@@ -112,8 +101,6 @@ __all__ = [
     "trajectory",
     "speed_profile",
     # dilation
-    "DilatedState",
-    "DilationUnitary",
     "metric_operator",
     "embed_initial",
     "dilation_unitary",
@@ -127,7 +114,6 @@ __all__ = [
     "WitnessResult",
     "conditional_prob",
     "correlators",
-    "k3_curve",
     "quantum_witness",
     "witness_initial_state",
     # finite shots

@@ -3,7 +3,8 @@
 Subcommands: evolve, distance, correlators, k3, k3max, witness, montecarlo,
 dilation-check.  Output goes to stdout (or --out) as CSV with 12 significant
 digits, or as a single JSON document with --format json.  A --config file of
-flat key=value pairs supplies defaults that explicit flags override.
+flat key=value pairs sets any flag of the subcommand by its name (switches
+take 1/0/true/false); explicit flags override it and unknown keys exit 2.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 numeric failure
 (vanishing or non-finite norm, empty statistics, degenerate observable, or a
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlations import correlators, k3_curve, quantum_witness
+from .correlations import correlators, quantum_witness
 from .dilation import dilation_report
 from .errors import ParameterError, PtQubitError, RegimeError
 from .montecarlo import ShotConfig, k3_sampled, sample_conditional, witness_sampled
@@ -46,31 +47,11 @@ CHECK_TOLERANCES = {
 }
 CHECK_MIN_FIDELITY = 1.0 - 1e-10
 
-_DEFAULTS = {
-    "j": 1.0,
-    "gamma": 0.0,
-    "t": math.pi / 6.0,
-    "tau": math.pi / 4.0,
-    "shots": 10000,
-    "seed": 0,
-    "mode": "ideal",
-    "format": "csv",
-    "quantity": "k3",
-    "qin": -1,
-    "tol": 1e-8,
-    "t_hi": DEFAULT_PTS_RANGE[1],
-    "ptb_t_hi": DEFAULT_PTB_RANGE[1],
-    "ep_eps": 1e-2,
-    # 50 intervals per quarter-period flip; a rendering choice, not physics.
-    "grid": None,
-}
-_GRID_DEFAULTS = {
-    "evolve": f"0:{math.pi / 2}:51",
-    "distance": f"0:{math.pi / 2}:51",
-    "k3": f"0:{math.pi / 4}:51",
-    "k3max": "0:0.95:20",
-    "witness": None,
-}
+#: Config-file spellings of the two states of a switch such as --wide.
+_SWITCH_VALUES = {"1": True, "true": True, "0": False, "false": False}
+
+# 50 intervals per quarter-period flip; a rendering choice, not physics.
+_TRAJECTORY_GRID = f"0:{math.pi / 2}:51"
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -108,30 +89,33 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-class _Resolver:
-    """Merge explicit flags over config-file values over built-in defaults."""
+def _with_config(argv: list, args: argparse.Namespace) -> list:
+    """argv with the config file's entries inserted as flags before the explicit ones.
 
-    def __init__(self, args: argparse.Namespace):
-        self.cli = vars(args)
-        self.file = _load_config_file(args.config) if args.config else {}
+    Keys are the flag names of the invoked subcommand, so each value passes
+    through that flag's type and choices, and a later explicit flag wins.
+    """
+    settings = vars(args)
+    flags = []
+    for key, value in _load_config_file(args.config).items():
+        if key not in settings or key in ("command", "config"):
+            raise ParameterError(
+                f"{args.config}: unknown key {key!r}; keys are the flag names of {args.command}"
+            )
+        flag = "--" + key.replace("_", "-")
+        if isinstance(settings[key], bool):  # a switch, absent unless set
+            switch = _SWITCH_VALUES.get(value.lower())
+            if switch is None:
+                raise ParameterError(f"{args.config}: {key} takes 1/0/true/false, got {value!r}")
+            flags += [flag] * switch
+        else:
+            flags.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
-    def get(self, name: str, cast=float):
-        if self.cli.get(name) is not None:
-            return self.cli[name]
-        if name in self.file:
-            return cast(self.file[name])
-        if name == "grid":
-            return _GRID_DEFAULTS.get(self.cli["command"])
-        return _DEFAULTS[name]
 
-    def params(self) -> PtParams:
-        return PtParams(j=self.get("j"), gamma=self.get("gamma"))
-
-    def grid(self) -> np.ndarray:
-        spec = self.get("grid", cast=str)
-        if spec is None:
-            raise ParameterError("this command requires --grid lo:hi:n")
-        return spec if isinstance(spec, np.ndarray) else parse_grid(spec)
+def _params(args) -> PtParams:
+    return PtParams(j=args.j, gamma=args.gamma)
 
 
 def _fmt(value) -> str:
@@ -145,7 +129,7 @@ def _fmt(value) -> str:
 
 
 def _emit(columns, rows, args, parameters, status: int = 0) -> int:
-    if args.format_ == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -162,8 +146,11 @@ def _emit(columns, rows, args, parameters, status: int = 0) -> int:
             writer.writerow([_fmt(v) for v in row])
         text = buffer.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return status
@@ -177,10 +164,9 @@ def _json_number(value):
     return float(value)
 
 
-def _cmd_evolve(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    grid = resolver.grid()
-    traj = trajectory(minus_y(), params, grid)
+def _cmd_evolve(args) -> int:
+    params = _params(args)
+    traj = trajectory(minus_y(), params, parse_grid(args.grid))
     columns = [
         "tau",
         "re_a1",
@@ -198,10 +184,9 @@ def _cmd_evolve(resolver: _Resolver, args) -> int:
     return _emit(columns, rows, args, {"j": params.j, "gamma": params.gamma}, 0)
 
 
-def _cmd_distance(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    grid = resolver.grid()
-    traj = trajectory(minus_y(), params, grid)
+def _cmd_distance(args) -> int:
+    params = _params(args)
+    traj = trajectory(minus_y(), params, parse_grid(args.grid))
     speeds = speed_profile(traj) if len(traj) >= 2 else np.zeros(1)
     rows = np.column_stack([traj.times, traj.distance, speeds]).tolist()
     return _emit(["tau", "distance", "speed"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
@@ -211,34 +196,33 @@ def _correlator_rows(cs):
     return np.column_stack([cs.t, cs.c12, cs.c23, cs.c13, cs.k3]).tolist()
 
 
-def _cmd_correlators(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    t_interval = resolver.get("t")
-    cs = correlators(t_interval, params)
+def _cmd_correlators(args) -> int:
+    params = _params(args)
+    cs = correlators(args.t, params)
     return _emit(
         ["T", "C12", "C23", "C13", "K3"],
         _correlator_rows(cs),
         args,
-        {"j": params.j, "gamma": params.gamma, "t": t_interval},
+        {"j": params.j, "gamma": params.gamma, "t": args.t},
         0,
     )
 
 
-def _cmd_k3(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    grid = resolver.grid()
-    rows = _correlator_rows(k3_curve(grid, params))
+def _cmd_k3(args) -> int:
+    params = _params(args)
+    rows = _correlator_rows(correlators(parse_grid(args.grid), params))
     return _emit(["T", "C12", "C23", "C13", "K3"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
 
 
-def _cmd_k3max(resolver: _Resolver, args) -> int:
-    j = resolver.get("j")
-    tol = resolver.get("tol")
-    pts_range = WIDE_PTS_RANGE if args.wide else (0.0, resolver.get("t_hi"))
-    ptb_range = (0.0, resolver.get("ptb_t_hi"))
+def _cmd_k3max(args) -> int:
+    j = args.j
+    pts_range = WIDE_PTS_RANGE if args.wide else (0.0, args.t_hi)
+    ptb_range = (0.0, args.ptb_t_hi)
     if args.ep_report:
-        eps = resolver.get("ep_eps")
-        report = ep_discontinuity(eps=eps, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=tol)
+        eps = args.ep_eps
+        report = ep_discontinuity(
+            eps=eps, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol
+        )
         rows = [[eps, report.left_limit, report.right_value, report.jump]]
         return _emit(
             ["eps", "left_limit", "right_value", "jump"],
@@ -247,24 +231,21 @@ def _cmd_k3max(resolver: _Resolver, args) -> int:
             {"j": j, "eps": eps},
             0,
         )
-    grid = resolver.grid()
+    grid = parse_grid(args.grid)
     if np.any(np.abs(grid - 1.0) <= EP_THRESHOLD):
         raise ParameterError(
             "the gamma/j grid touches the exceptional point 1, where the optimum is "
             "discontinuous; choose a grid that avoids gamma/j = 1, or use --ep-report "
             "for the limits on both sides"
         )
-    points = sweep_gamma(grid, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=tol)
+    points = sweep_gamma(grid, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
     return _emit(["gamma_over_j", "regime", "t_star", "k3_max"], rows, args, {"j": j}, 0)
 
 
-def _cmd_witness(resolver: _Resolver, args) -> int:
-    j = resolver.get("j")
-    if resolver.cli.get("grid") is not None or "grid" in resolver.file:
-        ratios = resolver.grid()
-    else:
-        ratios = [resolver.get("gamma") / j]
+def _cmd_witness(args) -> int:
+    j = args.j
+    ratios = [_params(args).ratio] if args.grid is None else parse_grid(args.grid)
     rows = []
     for ratio in np.asarray(ratios, dtype=float):
         result = quantum_witness(PtParams(j=j, gamma=ratio * j))
@@ -272,28 +253,18 @@ def _cmd_witness(resolver: _Resolver, args) -> int:
     return _emit(["gamma_over_j", "p_without", "p_with", "witness"], rows, args, {"j": j}, 0)
 
 
-def _cmd_montecarlo(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    config = ShotConfig(
-        shots=int(resolver.get("shots", cast=int)),
-        seed=int(resolver.get("seed", cast=int)),
-        mode=str(resolver.get("mode", cast=str)),
-        bootstrap=bool(args.bootstrap),
-    )
-    quantity = str(resolver.get("quantity", cast=str))
-    if quantity == "conditional":
-        record = sample_conditional(
-            int(resolver.get("qin", cast=int)), resolver.get("tau"), params, config
-        )
-    elif quantity == "k3":
-        record = k3_sampled(resolver.get("t"), params, config)
-    elif quantity == "witness":
-        record = witness_sampled(params, config, tau=resolver.get("tau"))
+def _cmd_montecarlo(args) -> int:
+    params = _params(args)
+    config = ShotConfig(shots=args.shots, seed=args.seed, mode=args.mode, bootstrap=args.bootstrap)
+    if args.quantity == "conditional":
+        record = sample_conditional(args.qin, args.tau, params, config)
+    elif args.quantity == "k3":
+        record = k3_sampled(args.t, params, config)
     else:
-        raise ParameterError(f"unknown quantity {quantity!r}")
+        record = witness_sampled(params, config, tau=args.tau)
     rows = [
         [
-            quantity,
+            args.quantity,
             record.estimate,
             record.stderr,
             record.accepted,
@@ -316,10 +287,9 @@ def _cmd_montecarlo(resolver: _Resolver, args) -> int:
     )
 
 
-def _cmd_dilation_check(resolver: _Resolver, args) -> int:
-    params = resolver.params()
-    tau = resolver.get("tau")
-    report = dilation_report(params, tau)
+def _cmd_dilation_check(args) -> int:
+    params = _params(args)
+    report = dilation_report(params, args.tau)
     passed = all(
         report[name] < tolerance for name, tolerance in CHECK_TOLERANCES.items()
     ) and report["fidelity_vs_direct"] >= CHECK_MIN_FIDELITY
@@ -330,7 +300,7 @@ def _cmd_dilation_check(resolver: _Resolver, args) -> int:
         ["metric", "value"],
         rows,
         args,
-        {"j": params.j, "gamma": params.gamma, "tau": tau},
+        {"j": params.j, "gamma": params.gamma, "tau": args.tau},
         status,
     )
 
@@ -348,11 +318,12 @@ _HANDLERS = {
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--j", type=float, default=None, help="coupling rate (default 1)")
-    sub.add_argument("--gamma", type=float, default=None, help="gain/loss rate (default 0)")
-    sub.add_argument("--format", dest="format_", choices=("csv", "json"), default="csv")
+    sub.add_argument("--j", type=float, default=1.0, help="coupling rate (default 1)")
+    sub.add_argument("--gamma", type=float, default=0.0, help="gain/loss rate (default 0)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--config", default=None, help="flat key=value file; flags override it")
+    sub.add_argument("--config", default=None,
+                     help="flat key=value file of this command's flags; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,32 +335,34 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("evolve", help="state, Bloch vector, and distance along a tau grid")
-    sub.add_argument("--grid", default=None, help="tau grid lo:hi:n (default 0:pi/2:51)")
+    sub.add_argument("--grid", default=_TRAJECTORY_GRID, help="tau grid lo:hi:n (default 0:pi/2:51)")
     _add_common(sub)
 
     sub = commands.add_parser("distance", help="distance from start and evolution speed vs tau")
-    sub.add_argument("--grid", default=None, help="tau grid lo:hi:n (default 0:pi/2:51)")
+    sub.add_argument("--grid", default=_TRAJECTORY_GRID, help="tau grid lo:hi:n (default 0:pi/2:51)")
     _add_common(sub)
 
     sub = commands.add_parser("correlators", help="correlator set at a single interval T")
-    sub.add_argument("--t", type=float, default=None, help="measurement interval T (scaled)")
+    sub.add_argument("--t", type=float, default=math.pi / 6.0,
+                     help="measurement interval T (scaled, default pi/6)")
     _add_common(sub)
 
     sub = commands.add_parser("k3", help="correlator curve over an interval grid")
-    sub.add_argument("--grid", default=None, help="interval grid lo:hi:n (default 0:pi/4:51)")
+    sub.add_argument("--grid", default=f"0:{math.pi / 4}:51",
+                     help="interval grid lo:hi:n (default 0:pi/4:51)")
     _add_common(sub)
 
     sub = commands.add_parser("k3max", help="optimal K3 swept over gamma/j ratios")
-    sub.add_argument("--grid", default=None, help="gamma/j grid lo:hi:n (default 0:0.95:20)")
-    sub.add_argument("--t-hi", dest="t_hi", type=float, default=None,
+    sub.add_argument("--grid", default="0:0.95:20", help="gamma/j grid lo:hi:n (default 0:0.95:20)")
+    sub.add_argument("--t-hi", type=float, default=DEFAULT_PTS_RANGE[1],
                      help="upper interval bound below the break (default pi/4)")
     sub.add_argument("--wide", action="store_true", help="widen the interval search to [0, pi/2]")
-    sub.add_argument("--ptb-t-hi", dest="ptb_t_hi", type=float, default=None,
+    sub.add_argument("--ptb-t-hi", type=float, default=DEFAULT_PTB_RANGE[1],
                      help="upper w*t bound above the break (default 10)")
-    sub.add_argument("--tol", type=float, default=None, help="refinement tolerance (default 1e-8)")
-    sub.add_argument("--ep-report", dest="ep_report", action="store_true",
+    sub.add_argument("--tol", type=float, default=1e-8, help="refinement tolerance (default 1e-8)")
+    sub.add_argument("--ep-report", action="store_true",
                      help="emit left limit, right value, and jump at gamma/j = 1 instead")
-    sub.add_argument("--ep-eps", dest="ep_eps", type=float, default=None,
+    sub.add_argument("--ep-eps", type=float, default=1e-2,
                      help="largest offset of the extrapolation sequence (default 1e-2)")
     _add_common(sub)
 
@@ -398,20 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
 
     sub = commands.add_parser("montecarlo", help="finite-shot estimates with standard errors")
-    sub.add_argument("--quantity", choices=("conditional", "k3", "witness"), default=None)
-    sub.add_argument("--qin", type=int, choices=(-1, 1), default=None,
+    sub.add_argument("--quantity", choices=("conditional", "k3", "witness"), default="k3")
+    sub.add_argument("--qin", type=int, choices=(-1, 1), default=-1,
                      help="preparation outcome for quantity=conditional (default -1)")
-    sub.add_argument("--tau", type=float, default=None, help="evolution time (scaled, default pi/4)")
-    sub.add_argument("--t", type=float, default=None, help="interval T for quantity=k3 (default pi/6)")
-    sub.add_argument("--shots", type=int, default=None, help="attempted preparations (default 10000)")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    sub.add_argument("--mode", choices=("ideal", "dilated"), default=None)
+    sub.add_argument("--tau", type=float, default=math.pi / 4.0,
+                     help="evolution time (scaled, default pi/4)")
+    sub.add_argument("--t", type=float, default=math.pi / 6.0,
+                     help="interval T for quantity=k3 (default pi/6)")
+    sub.add_argument("--shots", type=int, default=10000, help="attempted preparations (default 10000)")
+    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sub.add_argument("--mode", choices=("ideal", "dilated"), default="ideal")
     sub.add_argument("--bootstrap", action="store_true",
                      help="bootstrap error bars (1000 resamples) instead of propagation")
     _add_common(sub)
 
     sub = commands.add_parser("dilation-check", help="dilation residuals and success probability")
-    sub.add_argument("--tau", type=float, default=None, help="scaled time (default pi/4)")
+    sub.add_argument("--tau", type=float, default=math.pi / 4.0, help="scaled time (default pi/4)")
     _add_common(sub)
 
     return parser
@@ -419,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        resolver = _Resolver(args)
-        return _HANDLERS[args.command](resolver, args)
+        if args.config is not None:
+            args = parser.parse_args(_with_config(argv, args))
+        return _HANDLERS[args.command](args)
     except (ParameterError, RegimeError) as exc:
         print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .qstate import SIGMA_Y, Operator2, PureState, measure_projectors, minus_y, 
 
 @dataclass(frozen=True)
 class MeasurementScenario:
-    """Initial state, dichotomic observable, and the (0, T, 2T) instants.
+    """Initial state and dichotomic observable of the (0, T, 2T) protocol.
 
     Defaults to the equatorial-flip configuration: start in the -1 eigenstate
     of sigma_y and measure sigma_y.  The observable must be Hermitian with
@@ -58,10 +58,6 @@ class MeasurementScenario:
             return self._eigenstates[q]
         except KeyError:
             raise ParameterError(f"outcome must be +1 or -1, got {q}") from None
-
-    @staticmethod
-    def times(t_interval: float) -> tuple[float, float, float]:
-        return (0.0, t_interval, 2.0 * t_interval)
 
 
 DEFAULT_SCENARIO = MeasurementScenario()
@@ -153,15 +149,6 @@ def correlators(
     c = conditional_prob(+1, -1, 2.0 * t, params, scenario)
     c12, c23, c13, k3 = assemble_k3(a, c, a, b, a)
     return CorrelatorSet(t=t if t.ndim else float(t), c12=c12, c23=c23, c13=c13, k3=k3)
-
-
-def k3_curve(
-    t_grid,
-    params: PtParams,
-    scenario: MeasurementScenario | None = None,
-) -> CorrelatorSet:
-    """Correlator arrays along a grid of intervals, evaluated in one call."""
-    return correlators(np.asarray(t_grid, dtype=float), params, scenario)
 
 
 def witness_initial_state(params: PtParams) -> PureState:

@@ -19,64 +19,27 @@ positive definite only for gamma < j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RegimeError, VanishingNormError
-from .pt_dynamics import PtParams, Regime, propagator_scaled
-from .qstate import IDENTITY2, NORM_FLOOR, SIGMA_X, SIGMA_Y, SIGMA_Z, Operator2, PureState
-
-
-@dataclass(frozen=True)
-class DilatedState:
-    """A normalized 4-level state on the basis (|1>, |2>, |3>, |4>)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(4)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_blocks(cls, system: np.ndarray, ancilla: np.ndarray) -> "DilatedState":
-        return cls(np.concatenate([np.asarray(system), np.asarray(ancilla)]))
-
-    @property
-    def system_block(self) -> np.ndarray:
-        return self.amplitudes[:2]
-
-    @property
-    def ancilla_block(self) -> np.ndarray:
-        return self.amplitudes[2:]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class DilationUnitary:
-    """The 4x4 block unitary [[F, G], [-G, F]]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex).reshape(4, 4)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.matrix[:2, :2]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
-
-    def __matmul__(self, state: DilatedState) -> DilatedState:
-        return DilatedState(self.matrix @ state.amplitudes)
+from .pt_dynamics import (
+    PtParams,
+    Regime,
+    _as_times,
+    evolve_state_scaled,
+    hamiltonian,
+    propagator_scaled,
+)
+from .qstate import (
+    IDENTITY2,
+    NORM_FLOOR,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Operator2,
+    PureState,
+    minus_y,
+)
 
 
 def _require_unbroken(params: PtParams, what: str) -> None:
@@ -93,33 +56,41 @@ def metric_operator(params: PtParams) -> Operator2:
     return (params.j * IDENTITY2 + params.gamma * SIGMA_Y) / params.omega
 
 
-def embed_initial(psi0: PureState, params: PtParams) -> DilatedState:
-    """Embed a qubit state as N (psi0 (+) eta psi0) with N the positive normalizer."""
+def embed_initial(psi0: PureState, params: PtParams) -> np.ndarray:
+    """Embed a qubit state as N (psi0 (+) eta psi0) with N the positive normalizer.
+
+    Returns the unit-norm (4,) amplitudes on the basis (|1>, |2>, |3>, |4>):
+    the system block [:2] and the ancilla block [2:].
+    """
     eta = metric_operator(params)
-    system = np.array(psi0.normalized().amplitudes)
-    ancilla = eta @ system
-    total = np.concatenate([system, ancilla])
-    return DilatedState(total / np.linalg.norm(total))
+    system = psi0.normalized().amplitudes
+    total = np.concatenate([system, eta @ system])
+    return total / np.linalg.norm(total)
 
 
-def dilation_unitary(params: PtParams, tau: float) -> DilationUnitary:
-    """Block unitary at scaled time tau (unbroken regime only)."""
+def dilation_unitary(params: PtParams, tau: float) -> np.ndarray:
+    """The (4, 4) block unitary [[F, G], [-G, F]] at scaled time tau >= 0.
+
+    Defined in the unbroken regime only; F is the [:2, :2] block and G the
+    [:2, 2:] block.
+    """
     _require_unbroken(params, "the dilation unitary")
+    tau = _as_times(tau)
     ratio_omega = params.omega / params.j
     ratio_gamma = params.gamma / params.j
     f = np.cos(tau) * IDENTITY2 - 1j * ratio_omega * np.sin(tau) * SIGMA_X
     g = ratio_gamma * np.sin(tau) * SIGMA_Z
-    return DilationUnitary(np.block([[f, g], [-g, f]]))
+    return np.block([[f, g], [-g, f]])
 
 
-def postselect(state: DilatedState) -> tuple[PureState, float]:
-    """Project onto the system block.
+def postselect(state: np.ndarray) -> tuple[PureState, float]:
+    """Project (4,) amplitudes onto the system block.
 
     Returns the renormalized system-block state together with the success
     probability, i.e. the squared norm of the block within the (normalized)
     composite state.
     """
-    block = state.system_block
+    block = state[:2]
     norm = float(np.linalg.norm(block))
     if norm < NORM_FLOOR:
         raise VanishingNormError(f"system block annihilated (norm {norm:.3e})")
@@ -133,9 +104,7 @@ def pt_via_dilation(psi0: PureState, params: PtParams, tau: float) -> tuple[Pure
     (F + G eta collapses to the closed-form propagator), and the success
     probability equals |U_PT psi0|^2 / <psi0|(I + eta^2)|psi0>.
     """
-    embedded = embed_initial(psi0, params)
-    rotated = dilation_unitary(params, tau) @ embedded
-    return postselect(rotated)
+    return postselect(dilation_unitary(params, tau) @ embed_initial(psi0, params))
 
 
 def dilation_report(params: PtParams, tau: float, psi0: PureState | None = None) -> dict:
@@ -144,18 +113,14 @@ def dilation_report(params: PtParams, tau: float, psi0: PureState | None = None)
     Keys: unitarity_residual, intertwining_residual, block_identity_residual
     (max-abs entries), fidelity_vs_direct, success_prob.
     """
-    from .pt_dynamics import evolve_state_scaled, hamiltonian  # local: avoids cycle at import
-
     if psi0 is None:
-        from .qstate import minus_y
-
         psi0 = minus_y()
     u = dilation_unitary(params, tau)
     eta = metric_operator(params)
     h = hamiltonian(params)
-    unitarity = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)))
+    unitarity = np.max(np.abs(u.conj().T @ u - np.eye(4)))
     intertwining = np.max(np.abs(eta @ h - h.conj().T @ eta))
-    block_identity = np.max(np.abs(u.f + u.g @ eta - propagator_scaled(params, tau)))
+    block_identity = np.max(np.abs(u[:2, :2] + u[:2, 2:] @ eta - propagator_scaled(params, tau)))
     selected, success = pt_via_dilation(psi0, params, tau)
     direct = evolve_state_scaled(psi0, params, tau)
     return {

@@ -20,19 +20,21 @@ from .correlations import (
     DEFAULT_SCENARIO,
     MeasurementScenario,
     assemble_k3,
-    conditional_prob,
     k3_gradient,
-    quantum_witness,
     witness_initial_state,
 )
 from .dilation import pt_via_dilation
 from .errors import NoStatisticsError, ParameterError
-from .pt_dynamics import PtParams
+from .pt_dynamics import PtParams, evolve_state_scaled
+from .qstate import PureState
 
 MODES = ("ideal", "dilated")
 
 #: Parametric-bootstrap resample count when a record's bootstrap flag is set.
 BOOTSTRAP_RESAMPLES = 1000
+
+#: Largest shot budget: numpy's binomial draws take int64 counts.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,10 @@ class ShotConfig:
     bootstrap: bool = False
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ParameterError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ParameterError(f"shots must lie in [1, {MAX_SHOTS}], got {self.shots}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -80,18 +84,21 @@ def substream(seed: int, label: str, slot: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _slot_probabilities(q_in: int, tau: float, params, scenario, mode: str):
-    """(success probability, accepted-shot probability of Q' = +1) for one slot."""
+def _slot_probabilities(psi: PureState, tau: float, params, scenario, mode: str):
+    """(success probability, accepted-shot probability of Q' = +1) for one slot.
+
+    psi is the preparation; it evolves for the scaled time tau directly
+    (ideal mode) or through the dilation with post-selection (dilated mode).
+    """
     if mode == "ideal":
-        return 1.0, conditional_prob(+1, q_in, tau, params, scenario)
-    selected, success = pt_via_dilation(scenario.eigenstate(q_in), params, tau)
-    return success, scenario.eigenstate(+1).fidelity(selected)
+        success, evolved = 1.0, evolve_state_scaled(psi, params, tau)
+    else:
+        evolved, success = pt_via_dilation(psi, params, tau)
+    return success, scenario.eigenstate(+1).fidelity(evolved)
 
 
 def _draw_slot(p_success, p_plus, shots, seed, label, mode) -> tuple[int, int]:
-    """Draw (accepted, plus-count) for one probability slot."""
-    if shots == 0:
-        return 0, 0
+    """Draw (accepted, plus-count) for one probability slot of shots >= 1."""
     # exact Born weights can land an ulp outside [0, 1]
     p_success = min(max(p_success, 0.0), 1.0)
     p_plus = min(max(p_plus, 0.0), 1.0)
@@ -135,7 +142,9 @@ def sample_conditional(
 ) -> ShotRecord:
     """Estimate p_tau(+1 | q_in) from finite shots."""
     scenario = scenario or DEFAULT_SCENARIO
-    p_success, p_plus = _slot_probabilities(q_in, tau, params, scenario, config.mode)
+    p_success, p_plus = _slot_probabilities(
+        scenario.eigenstate(q_in), tau, params, scenario, config.mode
+    )
     label = f"conditional:{q_in:+d}"
     accepted, plus = _draw_slot(p_success, p_plus, config.shots, config.seed, label, config.mode)
     estimate = plus / accepted
@@ -177,7 +186,9 @@ def k3_sampled(
     }
     estimates, variances, counts = {}, {}, {}
     for label, (q_in, tau) in slots.items():
-        p_success, p_plus = _slot_probabilities(q_in, tau, params, scenario, config.mode)
+        p_success, p_plus = _slot_probabilities(
+            scenario.eigenstate(q_in), tau, params, scenario, config.mode
+        )
         accepted, plus = _draw_slot(
             p_success, p_plus, config.shots, config.seed, label, config.mode
         )
@@ -220,43 +231,31 @@ def witness_sampled(
     re-evolves each collapse branch through the sampling mode in use.
     """
     psi0 = witness_initial_state(params)
-    exact = quantum_witness(params, tau)
-
-    if config.mode == "ideal":
-        p_success_direct = 1.0
-        p_plus_direct = exact.p_without
-        succ_plus, q_plus = 1.0, conditional_prob(+1, +1, tau, params)
-        succ_minus, q_minus = 1.0, conditional_prob(+1, -1, tau, params)
-    else:
-        selected, p_success_direct = pt_via_dilation(psi0, params, tau)
-        p_plus_direct = DEFAULT_SCENARIO.eigenstate(+1).fidelity(selected)
-        succ_plus, q_plus = _slot_probabilities(+1, tau, params, DEFAULT_SCENARIO, "dilated")
-        succ_minus, q_minus = _slot_probabilities(-1, tau, params, DEFAULT_SCENARIO, "dilated")
-
+    plus_state = DEFAULT_SCENARIO.eigenstate(+1)
     shots, seed, mode = config.shots, config.seed, config.mode
-    acc_direct, plus_direct = _draw_slot(
-        p_success_direct, p_plus_direct, shots, seed, "witness:direct", mode
-    )
-    p_hat_without = plus_direct / acc_direct
-    var_without = _proportion_variance(p_hat_without, acc_direct)
 
-    p_plus_zero = min(max(DEFAULT_SCENARIO.eigenstate(+1).fidelity(psi0), 0.0), 1.0)
+    # Zero-weight branches contribute nothing; only raise when a branch that
+    # actually received preparations loses every shot to post-selection.
+    def slot(psi, n, label):
+        if n == 0:
+            return 0, 0.0, 0.0
+        p_success, p_plus = _slot_probabilities(psi, tau, params, DEFAULT_SCENARIO, mode)
+        acc, plus = _draw_slot(p_success, p_plus, n, seed, label, mode)
+        q_hat = plus / acc
+        return acc, q_hat, _proportion_variance(q_hat, acc)
+
+    acc_direct, p_hat_without, var_without = slot(psi0, shots, "witness:direct")
+
+    p_plus_zero = min(max(plus_state.fidelity(psi0), 0.0), 1.0)
     n_plus = int(substream(seed, "witness:first", 0).binomial(shots, p_plus_zero))
     n_minus = shots - n_plus
     p0_hat = n_plus / shots
     var_p0 = _proportion_variance(p0_hat, shots)
 
-    # Zero-weight branches contribute nothing; only raise when a branch that
-    # actually received preparations loses every shot to post-selection.
-    def branch(n, succ, q, label):
-        if n == 0:
-            return 0, 0.0, 0.0
-        acc, plus = _draw_slot(succ, q, n, seed, label, mode)
-        q_hat = plus / acc
-        return acc, q_hat, _proportion_variance(q_hat, acc)
-
-    acc_plus, q_plus_hat, var_q_plus = branch(n_plus, succ_plus, q_plus, "witness:from+")
-    acc_minus, q_minus_hat, var_q_minus = branch(n_minus, succ_minus, q_minus, "witness:from-")
+    acc_plus, q_plus_hat, var_q_plus = slot(plus_state, n_plus, "witness:from+")
+    acc_minus, q_minus_hat, var_q_minus = slot(
+        DEFAULT_SCENARIO.eigenstate(-1), n_minus, "witness:from-"
+    )
 
     p_hat_with = p0_hat * q_plus_hat + (1.0 - p0_hat) * q_minus_hat
 

@@ -49,7 +49,9 @@ class EpDiscontinuity:
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # Maximize a unimodal f on [lo, hi] to bracket width tol.
+    # Maximize a unimodal f on [lo, hi] to bracket width tol.  Widths below a
+    # few ulps of the bracket stop shrinking, so tol is raised to that floor.
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -174,6 +176,11 @@ def ep_discontinuity(
     if not (0.0 < eps <= 0.1):
         raise ParameterError(f"eps must lie in (0, 0.1], got {eps}")
     eps_sequence = (eps, eps / 10.0, eps / 100.0)
+    if eps_sequence[-1] <= EP_THRESHOLD:
+        raise ParameterError(
+            f"eps = {eps} puts gamma/j = 1 -+ eps/100 inside the exceptional-point band "
+            f"|gamma/j - 1| <= {EP_THRESHOLD}; choose eps > {100.0 * EP_THRESHOLD:g}"
+        )
 
     def k3_max_at(ratio: float) -> float:
         params = PtParams(j=j, gamma=ratio * j)

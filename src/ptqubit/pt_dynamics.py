@@ -38,10 +38,15 @@ from .qstate import (
     DensityMatrix,
     Operator2,
     PureState,
+    _distance,
 )
 
 #: Width of the |Gamma/J - 1| band classified as the exceptional point.
 EP_THRESHOLD = 1e-9
+
+#: Rates lie within [1/RATE_LIMIT, RATE_LIMIT] (gamma may also be 0), so that
+#: j^2 - gamma^2 neither overflows nor underflows to zero.
+RATE_LIMIT = 1e150
 
 
 class Regime(str, enum.Enum):
@@ -79,10 +84,14 @@ class PtParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.j < math.inf:
-            raise ParameterError(f"coupling rate j must be positive and finite, got {self.j}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ParameterError(f"gain/loss rate gamma must be finite and >= 0, got {self.gamma}")
+        if not 1.0 / RATE_LIMIT <= self.j <= RATE_LIMIT:
+            raise ParameterError(
+                f"coupling rate j must lie in [{1.0 / RATE_LIMIT:g}, {RATE_LIMIT:g}], got {self.j}"
+            )
+        if not 0.0 <= self.gamma <= RATE_LIMIT:
+            raise ParameterError(
+                f"gain/loss rate gamma must lie in [0, {RATE_LIMIT:g}], got {self.gamma}"
+            )
 
     @property
     def ratio(self) -> float:
@@ -109,11 +118,6 @@ class PtParams:
         if self.regime is Regime.EP:
             return tau / self.j
         return tau / self.omega
-
-    def scaled_from_time(self, t: float) -> float:
-        if self.regime is Regime.EP:
-            return t * self.j
-        return t * self.omega
 
 
 @dataclass(frozen=True)
@@ -267,11 +271,7 @@ def trajectory(psi0: PureState, params: PtParams, t_grid: Sequence[float]) -> Tr
     a1, a2 = states[:, 0], states[:, 1]
     cross = a1.conj() * a2
     bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, abs(a1) ** 2 - abs(a2) ** 2], axis=-1)
-    # s = arccos|<psi0|psi>| as atan2 of the parts across and along psi0,
-    # which stays accurate near 0 and pi/2 where arccos loses half the digits
-    along = abs(states @ start.conj())
-    across = abs(start[0] * states[:, 1] - start[1] * states[:, 0])
-    distance = np.arctan2(across, along)
+    distance = _distance(start, states)
     distance[0] = 0.0  # grid[0] = 0 is psi0 itself, whatever the last-bit rounding
     return Trajectory(times=grid, states=states, bloch=bloch, distance=distance)
 

@@ -9,7 +9,7 @@ observable quantity in scope is insensitive to a global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -37,18 +37,6 @@ SIGMA_Z = _readonly([[1, 0], [0, -1]])
 
 #: A 2x2 complex matrix acting as gate, observable, or generator.
 Operator2 = np.ndarray
-
-
-class BlochVector(NamedTuple):
-    """Real Pauli expectation values (x, y, z) of a qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
 
 
 @dataclass(frozen=True)
@@ -99,10 +87,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -112,13 +96,6 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-
-def basis_state(index: int) -> PureState:
-    """|1> for index 0 (gain level), |2> for index 1 (loss level)."""
-    amps = np.zeros(2, dtype=complex)
-    amps[index] = 1.0
-    return PureState(amps)
 
 
 def plus_y() -> PureState:
@@ -135,16 +112,12 @@ def is_hermitian(op: Operator2, atol: float = ATOL_ALGEBRA) -> bool:
     return bool(np.allclose(op, np.asarray(op).conj().T, rtol=0.0, atol=atol))
 
 
-def is_unitary(op: Operator2, atol: float = ATOL_ALGEBRA) -> bool:
-    op = np.asarray(op)
-    return bool(np.allclose(op.conj().T @ op, np.eye(op.shape[0]), rtol=0.0, atol=atol))
+def bloch_from(state: Union[PureState, DensityMatrix]) -> np.ndarray:
+    """Pauli expectation values (x, y, z) of a normalized pure state or density matrix.
 
-
-def bloch_from(state: Union[PureState, DensityMatrix]) -> BlochVector:
-    """Pauli expectation values of a normalized pure state or density matrix.
-
-    Raises NormalizationError when the input norm (or trace) deviates from 1
-    by more than 1e-9.
+    Returns a (3,) array, like the rows of Trajectory.bloch.  Raises
+    NormalizationError when the input norm (or trace) deviates from 1 by
+    more than 1e-9.
     """
     if isinstance(state, PureState):
         if abs(state.norm - 1.0) > ATOL_NORM:
@@ -154,35 +127,30 @@ def bloch_from(state: Union[PureState, DensityMatrix]) -> BlochVector:
         if abs(state.trace - 1.0) > ATOL_NORM:
             raise NormalizationError(f"trace {state.trace} is not 1 within {ATOL_NORM}")
         rho = state.matrix
-    return BlochVector(
-        x=float(np.trace(rho @ SIGMA_X).real),
-        y=float(np.trace(rho @ SIGMA_Y).real),
-        z=float(np.trace(rho @ SIGMA_Z).real),
-    )
+    return np.array([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def _distance(a: np.ndarray, b: np.ndarray):
+    # s = arccos(|<a|b>| / (|a| |b|)) as atan2 of the parts of b across and
+    # along a, which stays accurate near 0 and pi/2 where arccos loses half
+    # the digits; both parts scale with |a| |b|, so the norms drop out.  b is
+    # one state (2,) or a stack of states (n, 2).
+    along = abs(b @ a.conj())
+    across = abs(a[0] * b[..., 1] - a[1] * b[..., 0])
+    return np.arctan2(across, along)
 
 
 def fubini_study_distance(a: PureState, b: PureState) -> float:
-    """Distance s = arccos|<a|b>| in radians, in [0, pi/2].
+    """Distance s = arccos(|<a|b>| / (|a| |b|)) in radians, in [0, pi/2].
 
     Geometrically half the geodesic angle between the two points on the
-    Bloch sphere.  Symmetric and invariant under global phases; inputs are
-    rescaled by their norms so near-normalized states are handled exactly.
+    Bloch sphere.  Symmetric and invariant under global phases and norms,
+    and accurate to rounding even for nearly equal or nearly orthogonal
+    states.
     """
-    na, nb = a.norm, b.norm
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
+    if a.norm < NORM_FLOOR or b.norm < NORM_FLOOR:
         raise VanishingNormError("cannot measure distance from a vanishing state")
-    overlap = abs(a.overlap(b)) / (na * nb)
-    return float(np.arccos(min(overlap, 1.0)))
-
-
-def rotation(theta: float, phi: float) -> Operator2:
-    """Equatorial rotation exp(-i theta (cos(phi) sigma_x + sin(phi) sigma_y)/2).
-
-    The generator squares to the identity, so the exponential closes as
-    cos(theta/2) I - i sin(theta/2) (cos(phi) sigma_x + sin(phi) sigma_y).
-    """
-    axis = np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y
-    return np.cos(theta / 2.0) * IDENTITY2 - 1j * np.sin(theta / 2.0) * axis
+    return float(_distance(a.amplitudes, b.amplitudes))
 
 
 def measure_projectors(observable: Operator2):

@@ -123,7 +123,7 @@ def test_criterion_06_dilation_exactness():
             u = dilation_unitary(params, tau)
             eta = metric_operator(params)
             h = hamiltonian(params)
-            assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) < 1e-12
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             assert np.max(np.abs(eta @ h - h.conj().T @ eta)) < 1e-12
             selected, _ = pt_via_dilation(minus_y(), params, tau)
             direct = evolve_state_scaled(minus_y(), params, tau)

@@ -1,21 +1,39 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptqubit.cli
 from ptqubit.cli import main, parse_grid
 from ptqubit.errors import NormalizationError, ParameterError
 
 PI = np.pi
+SRC = Path(ptqubit.cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_subprocess(*argv, timeout=60):
+    """Run `python -m ptqubit` from this checkout; a hang fails the test at `timeout`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ptqubit", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 def read_csv(text):
@@ -93,6 +111,14 @@ class TestEvolve:
         assert len(rows) == 5
 
 
+    def test_unwritable_out_is_parameter_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        status, out, err = run_cli(capsys, "k3", "--out", str(target))
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"ptqubit k3: cannot write {target}")
+
+
 class TestDistance:
     def test_speed_column_constant_without_gain(self, capsys):
         status, out, _ = run_cli(
@@ -168,6 +194,25 @@ class TestK3Max:
         assert "allow_ep" not in err
 
 
+    @pytest.mark.parametrize(
+        "flags,status",
+        [
+            (["--grid", "0.5:0.5:1", "--tol", "1e-30"], 0),  # tol below the bracket's ulp
+            (["--grid", "0.5:0.5:1", "--t-hi", "1e300"], 0),  # ulp of the bracket above tol
+            (["--ep-report", "--ep-eps", "1e-300"], 2),  # eps/100 inside the EP band
+        ],
+    )
+    def test_optimizer_edge_cases_end_in_time(self, flags, status):
+        result = run_subprocess("k3max", *flags)
+        assert result.returncode == status, result.stderr
+        if status == 0:
+            header, rows = read_csv(result.stdout)
+            assert np.isfinite(float(rows[0][header.index("k3_max")]))
+        else:
+            assert result.stdout == ""
+            assert "exceptional-point band" in result.stderr
+
+
 class TestWitness:
     def test_hermitian_value(self, capsys):
         status, out, _ = run_cli(capsys, "witness", "--gamma", "0")
@@ -237,6 +282,23 @@ class TestMonteCarlo:
         assert err.strip()
 
 
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--shots", "1000000000000000000000"]]
+    )
+    def test_out_of_range_budget_is_parameter_error(self, capsys, flags):
+        status, out, err = run_cli(capsys, "montecarlo", "--shots", "10", *flags)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("ptqubit montecarlo: ")
+
+    def test_non_finite_time_in_dilated_mode_is_parameter_error(self, capsys):
+        status, _, err = run_cli(
+            capsys, "montecarlo", "--quantity", "conditional", "--mode", "dilated", "--tau", "nan"
+        )
+        assert status == 2
+        assert "finite" in err
+
+
 class TestDilationCheck:
     def test_near_break_success_probability(self, capsys):
         status, out, _ = run_cli(
@@ -293,6 +355,70 @@ class TestOutputFormats:
         header, rows = read_csv(out_override)
         assert float(rows[0][header.index("T")]) == 0.25
 
+    def test_config_sets_format_and_out(self, capsys, tmp_path):
+        target = tmp_path / "w.json"
+        config = tmp_path / "run.conf"
+        config.write_text(f"gamma=0.6\nformat=json\nout={target}\n")
+        status, out, _ = run_cli(capsys, "witness", "--config", str(config))
+        assert status == 0
+        assert out == ""
+        _, expected, _ = run_cli(capsys, "witness", "--gamma", "0.6", "--format", "json")
+        assert target.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "command,entries,flags",
+        [
+            ("k3max", "grid=0.5:0.5:1\nwide=1", ["--grid", "0.5:0.5:1", "--wide"]),
+            ("k3max", "grid=0.5:0.5:1\nwide=false", ["--grid", "0.5:0.5:1"]),
+            ("k3max", "ep_report=true\nep-eps=0.05", ["--ep-report", "--ep-eps", "0.05"]),
+            ("montecarlo", "bootstrap=TRUE\nshots=50", ["--bootstrap", "--shots", "50"]),
+            ("montecarlo", "bootstrap=0\nmode=dilated", ["--mode", "dilated"]),
+        ],
+    )
+    def test_config_switches_match_flags(self, capsys, tmp_path, command, entries, flags):
+        config = tmp_path / "run.conf"
+        config.write_text(entries + "\n")
+        status, out, _ = run_cli(capsys, command, "--config", str(config))
+        assert status == 0
+        assert (status, out) == run_cli(capsys, command, *flags)[:2]
+
+    def test_flags_override_config_switches_and_values(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("quantity=conditional\nshots=50\n")
+        _, out, _ = run_cli(
+            capsys, "montecarlo", "--config", str(config), "--shots", "70", "--bootstrap"
+        )
+        _, expected, _ = run_cli(
+            capsys, "montecarlo", "--quantity", "conditional", "--shots", "70", "--bootstrap"
+        )
+        assert out == expected
+
+    @pytest.mark.parametrize(
+        "command,entry,message",
+        [
+            ("correlators", "gama=0.5", "unknown key 'gama'"),
+            ("correlators", "grid=0:1:3", "unknown key 'grid'"),  # not a correlators flag
+            ("correlators", "config=other.conf", "unknown key 'config'"),
+            ("k3max", "wide=yes", "1/0/true/false"),
+        ],
+    )
+    def test_config_rejects_other_keys(self, capsys, tmp_path, command, entry, message):
+        config = tmp_path / "run.conf"
+        config.write_text(entry + "\n")
+        status, out, err = run_cli(capsys, command, "--config", str(config))
+        assert status == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("entry", ["gamma=abc", "mode=exact", "qin=2", "shots=1.5"])
+    def test_config_values_pass_the_flag_types(self, capsys, tmp_path, entry):
+        config = tmp_path / "run.conf"
+        config.write_text(entry + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["montecarlo", "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         status, _, err = run_cli(
             capsys, "correlators", "--t", "0.3", "--config", "/nonexistent/file.conf"
@@ -303,3 +429,75 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+# Every subcommand's flags with generated values, from finite ones to the edges
+# (negative, zero, tiny, huge and non-finite), split between the command line
+# and a config file: whatever the input, main() ends in 0, 2 or 3 and never
+# leaves an exception other than argparse's usage exit behind.
+EDGE_NUMBERS = ["-1", "0", "1e-300", "1e300", "nan", "inf", "-inf"]
+numbers = st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(-1.0, 4.0).map(repr))
+counts = st.one_of(
+    st.sampled_from(["-1", "0", str(2**63), str(10**21)]), st.integers(1, 200).map(str)
+)
+grids = st.builds("{}:{}:{}".format, numbers, numbers, st.integers(0, 4))
+switches = st.sampled_from(["1", "0", "true", "false"])
+COMMON_FLAGS = {"j": numbers, "gamma": numbers, "format": st.sampled_from(["csv", "json"])}
+COMMAND_FLAGS = {
+    "evolve": {"grid": grids},
+    "distance": {"grid": grids},
+    "correlators": {"t": numbers},
+    "k3": {"grid": grids},
+    "k3max": {
+        "grid": grids, "t_hi": numbers, "ptb_t_hi": numbers, "tol": numbers,
+        "ep_eps": numbers, "wide": switches, "ep_report": switches,
+    },
+    "witness": {"grid": grids},
+    "montecarlo": {
+        "quantity": st.sampled_from(["conditional", "k3", "witness"]),
+        "qin": st.sampled_from(["-1", "1"]), "tau": numbers, "t": numbers,
+        "shots": counts, "seed": counts, "mode": st.sampled_from(["ideal", "dilated"]),
+        "bootstrap": switches,
+    },
+    "dilation-check": {"tau": numbers},
+}
+
+
+def _cli_flag(key, value):
+    flag = "--" + key.replace("_", "-")
+    if value in ("1", "0", "true", "false") and key in ("wide", "ep_report", "bootstrap"):
+        return [flag] if value in ("1", "true") else []
+    return [f"{flag}={value}"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+@given(data=st.data())
+def test_any_input_ends_in_a_documented_exit_code(command, data):
+    flags = {**COMMON_FLAGS, **COMMAND_FLAGS[command]}
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5))
+    in_file = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    argv, entries = [command], []
+    for key, to_file in zip(chosen, in_file):
+        value = data.draw(flags[key])
+        if to_file:
+            entries.append(f"{key}={value}")
+        else:
+            argv += _cli_flag(key, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if entries:
+            config = Path(tmp) / "run.conf"
+            config.write_text("\n".join(entries) + "\n")
+            argv += ["--config", str(config)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag value
+                status = exc.code
+                assert status == 2
+    assert status in (0, 2, 3), (argv, entries)
+    if status == 0:
+        assert out.getvalue() and "nan" not in out.getvalue().lower(), (argv, entries)
+    else:
+        assert err.getvalue().strip(), (argv, entries)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ptqubit import (
-    DilatedState,
     PtParams,
     PureState,
     RegimeError,
@@ -58,49 +57,48 @@ class TestEmbedInitial:
         psi = minus_y()
         state = embed_initial(psi, PtParams(gamma=0.0))
         np.testing.assert_allclose(
-            state.amplitudes,
+            state,
             np.concatenate([psi.amplitudes, psi.amplitudes]) / np.sqrt(2.0),
             atol=1e-12,
         )
 
     def test_block_weight_ratio_near_break(self):
         state = embed_initial(minus_y(), PtParams(gamma=0.95))
-        ratio = np.linalg.norm(state.ancilla_block) ** 2 / np.linalg.norm(state.system_block) ** 2
+        ratio = np.linalg.norm(state[2:]) ** 2 / np.linalg.norm(state[:2]) ** 2
         assert ratio == pytest.approx(1.0 / 39.0, rel=1e-10)
 
     def test_equal_block_norms_without_gain(self, rng):
         for amps in random_pure_state_amplitudes(rng, 10):
             state = embed_initial(PureState(amps), PtParams(gamma=0.0))
-            assert np.linalg.norm(state.system_block) == pytest.approx(
-                np.linalg.norm(state.ancilla_block), abs=1e-12
+            assert np.linalg.norm(state[:2]) == pytest.approx(
+                np.linalg.norm(state[2:]), abs=1e-12
             )
 
     def test_unit_total_norm(self, rng):
         for amps in random_pure_state_amplitudes(rng, 10):
             state = embed_initial(PureState(amps), PtParams(gamma=0.9))
-            assert state.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDilationUnitary:
     def test_zero_time_is_identity(self):
         u = dilation_unitary(PtParams(gamma=0.4), 0.0)
-        np.testing.assert_allclose(u.matrix, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(u, np.eye(4), atol=1e-15)
 
     def test_hermitian_quarter_period_blocks(self):
         u = dilation_unitary(PtParams(gamma=0.0), np.pi / 2)
-        np.testing.assert_allclose(u.f, -1j * SIGMA_X, atol=1e-12)
-        np.testing.assert_allclose(u.g, np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(u[:2, :2], -1j * SIGMA_X, atol=1e-12)
+        np.testing.assert_allclose(u[:2, 2:], np.zeros((2, 2)), atol=1e-15)
 
     def test_block_normalization(self):
         u = dilation_unitary(PtParams(gamma=0.6), np.pi / 4)
-        np.testing.assert_allclose(
-            u.f.conj().T @ u.f + u.g.conj().T @ u.g, IDENTITY2, atol=1e-12
-        )
+        f, g = u[:2, :2], u[:2, 2:]
+        np.testing.assert_allclose(f.conj().T @ f + g.conj().T @ g, IDENTITY2, atol=1e-12)
 
     def test_block_layout(self):
         u = dilation_unitary(PtParams(gamma=0.6), 0.9)
-        np.testing.assert_array_equal(u.matrix[2:, 2:], u.f)
-        np.testing.assert_array_equal(u.matrix[2:, :2], -u.g)
+        np.testing.assert_array_equal(u[2:, 2:], u[:2, :2])
+        np.testing.assert_array_equal(u[2:, :2], -u[:2, 2:])
 
     def test_rejected_outside_unbroken(self):
         with pytest.raises(RegimeError):
@@ -109,7 +107,7 @@ class TestDilationUnitary:
 
 class TestPostselect:
     def test_state_fully_in_system_block(self):
-        state = DilatedState(np.concatenate([plus_y().amplitudes, np.zeros(2)]))
+        state = np.concatenate([plus_y().amplitudes, np.zeros(2)])
         selected, success = postselect(state)
         assert success == pytest.approx(1.0, abs=1e-12)
         assert selected.fidelity(plus_y()) == pytest.approx(1.0, abs=1e-12)
@@ -132,7 +130,7 @@ class TestPostselect:
             assert success == pytest.approx(0.5, abs=1e-12)
 
     def test_vanishing_block_rejected(self):
-        state = DilatedState([0.0, 0.0, 1.0, 0.0])
+        state = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
         with pytest.raises(VanishingNormError):
             postselect(state)
 
@@ -182,8 +180,9 @@ class TestPtViaDilation:
             u = dilation_unitary(params, tau)
             eta = metric_operator(params)
             h = hamiltonian(params)
-            assert np.max(np.abs(u.f + u.g @ eta - propagator_scaled(params, tau))) < 1e-12
-            assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) < 1e-12
+            block_identity = u[:2, :2] + u[:2, 2:] @ eta - propagator_scaled(params, tau)
+            assert np.max(np.abs(block_identity)) < 1e-12
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             assert np.max(np.abs(eta @ h - h.conj().T @ eta)) < 1e-12
             selected, success = pt_via_dilation(minus_y(), params, tau)
             direct = evolve_state_scaled(minus_y(), params, tau)

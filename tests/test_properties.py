@@ -1,12 +1,14 @@
-"""Generated-input properties of the array propagation path.
+"""Generated-input properties of the propagation, dilation and flow paths.
 
 Inputs: a random coupling j and a ratio gamma/j below the break, above it, or
 inside the exceptional-point band, with time grids that always contain 0 and
 points where |Omega t| < 1e-6.  Array results are compared element by element
 with the scipy-expm route in oracles.py, a scalar call must reproduce the
 matching element of the array call, and the invariants of the Leggett-Garg
-quantities must hold.  RuntimeWarnings are errors here, so an overflow or a
-0/0 in any branch fails the test instead of hiding behind a masked value.
+quantities must hold.  The dilation's success probability and the RK4 density
+flow are checked against the same expm route.  RuntimeWarnings are errors
+here, so an overflow or a 0/0 in any branch fails the test instead of hiding
+behind a masked value.
 """
 
 import numpy as np
@@ -17,12 +19,15 @@ from hypothesis import strategies as st
 import oracles
 from ptqubit import (
     EP_THRESHOLD,
+    DensityMatrix,
     PtParams,
     PureState,
     conditional_prob,
     correlators,
+    evolve_density_nonlinear,
     evolve_state_scaled,
     propagator,
+    pt_via_dilation,
     trajectory,
 )
 
@@ -144,3 +149,44 @@ def test_broken_regime_long_horizons_stay_finite(j, ratio, horizon):
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.distance))
     # at the fixed point the state no longer moves
     np.testing.assert_allclose(traj.bloch[2], traj.bloch[3], rtol=0.0, atol=1e-12)
+
+
+def _state(amps):
+    return PureState([complex(amps[0], amps[1]), complex(amps[2], amps[3])]).normalized()
+
+
+@examples
+@given(couplings, st.floats(0.0, 0.99), amplitudes, st.floats(0.0, 3.0))
+def test_dilation_success_matches_expm_route(j, ratio, amps, tau):
+    # success = |U psi|^2 / <psi|(I + eta^2)|psi>, with eta = (j I + gamma sigma_y)/Omega
+    # in closed form and U the expm propagator at the raw time tau/Omega
+    gamma = ratio * j
+    psi = _state(amps)
+    _, success = pt_via_dilation(psi, PtParams(j=j, gamma=gamma), tau)
+    omega = np.sqrt(j * j - gamma * gamma)
+    eta = (j * oracles.I2 + gamma * oracles.SY) / omega
+    u = oracles.expm_propagator(j, gamma, oracles.raw_time(j, gamma, tau))
+    psi_amps = psi.amplitudes
+    expected = np.linalg.norm(u @ psi_amps) ** 2 / (1.0 + np.linalg.norm(eta @ psi_amps) ** 2)
+    assert 0.0 < success <= 1.0 + ROUNDING
+    assert success == pytest.approx(expected, rel=1e-9)
+
+
+@examples
+@given(couplings, ratios, amplitudes, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_rk4_flow_tracks_the_exact_normalized_flow(j, ratio, amps, purity, tau):
+    # exact solution U rho0 U^dag / Tr(U rho0 U^dag) (Brody & Graefe, PRL 109,
+    # 230405 (2012)) for a mixture of a pure state with the maximally mixed one
+    gamma = ratio * j
+    params = PtParams(j=j, gamma=gamma)
+    a = _state(amps).amplitudes
+    rho0 = purity * np.outer(a, a.conj()) + (1.0 - purity) * oracles.I2 / 2.0
+    t = oracles.raw_time(j, gamma, tau)
+    dt = 1e-2 / (j + gamma)  # a fixed fraction of the fastest rate, even next to the EP
+    rho = evolve_density_nonlinear(DensityMatrix(rho0), params, t, dt).matrix
+    u = oracles.expm_propagator(j, gamma, t)
+    exact = u @ rho0 @ u.conj().T
+    exact /= np.trace(exact).real
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    np.testing.assert_allclose(rho, exact, rtol=0.0, atol=1e-6)

@@ -30,7 +30,9 @@ class TestPtParams:
             PtParams(j=-1.0)
         with pytest.raises(ParameterError):
             PtParams(gamma=-0.1)
-        for value in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            PtParams(j=1e-300)  # j^2 underflows to 0
+        for value in (np.nan, np.inf, 1e300):  # 1e300 squared overflows
             with pytest.raises(ParameterError):
                 PtParams(j=value)
             with pytest.raises(ParameterError):
@@ -57,12 +59,11 @@ class TestPtParams:
             assert abs(params.omega**2 - abs(j**2 - gamma**2)) < 1e-12
 
     def test_time_round_trip(self):
+        # the raw time maps back to tau = Omega t (PTS), j t (EP), w t (PTB)
         for gamma in (0.0, 0.6, 1.0, 1.7):
             params = PtParams(gamma=gamma)
-            tau = 0.83
-            assert params.scaled_from_time(params.time_from_scaled(tau)) == pytest.approx(
-                tau, abs=1e-14
-            )
+            rate = params.j if gamma == 1.0 else np.sqrt(abs(params.j**2 - gamma**2))
+            assert params.time_from_scaled(0.83) * rate == pytest.approx(0.83, abs=1e-14)
 
 
 class TestHamiltonian:

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from ptqubit import (
     DegenerateSpectrumError,
     DensityMatrix,
     NormalizationError,
     PureState,
-    basis_state,
     bloch_from,
     fubini_study_distance,
     is_hermitian,
-    is_unitary,
     measure_projectors,
     minus_y,
     plus_y,
-    rotation,
 )
 from ptqubit.qstate import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -52,7 +48,7 @@ class TestPureState:
 
 class TestBlochFrom:
     def test_sigma_z_eigenstate(self):
-        assert bloch_from(basis_state(0)) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+        np.testing.assert_allclose(bloch_from(PureState([1.0, 0.0])), (0.0, 0.0, 1.0), atol=1e-15)
 
     def test_sigma_y_eigenstate(self):
         np.testing.assert_allclose(bloch_from(minus_y()), (0.0, -1.0, 0.0), atol=1e-15)
@@ -70,7 +66,7 @@ class TestBlochFrom:
 
     def test_pure_states_sit_on_the_sphere(self, rng):
         for amps in random_pure_state_amplitudes(rng, 100):
-            assert abs(bloch_from(PureState(amps)).norm - 1.0) < 1e-10
+            assert abs(np.linalg.norm(bloch_from(PureState(amps))) - 1.0) < 1e-10
 
 
 class TestFubiniStudy:
@@ -97,6 +93,13 @@ class TestFubiniStudy:
             assert d_ab == pytest.approx(fubini_study_distance(a, b_phase), abs=1e-12)
             assert 0.0 <= d_ab <= np.pi / 2 + 1e-15
 
+    def test_small_angle_keeps_every_digit(self):
+        # frozen closed form: |1> and cos(e)|1> + sin(e)|2> lie e apart; arccos
+        # of the overlap cos(e) = 1 - 5e-19 rounds to 1 and would return 0
+        e = 1e-9
+        near = PureState([np.cos(e), np.sin(e)])
+        assert fubini_study_distance(PureState([1.0, 0.0]), near) == pytest.approx(e, rel=1e-15)
+
     def test_triangle_inequality(self, rng):
         states = [PureState(a) for a in random_pure_state_amplitudes(rng, 90)]
         for a, b, c in zip(states[0::3], states[1::3], states[2::3]):
@@ -104,34 +107,6 @@ class TestFubiniStudy:
             d_ab = fubini_study_distance(a, b)
             d_bc = fubini_study_distance(b, c)
             assert d_ac <= d_ab + d_bc + 1e-9
-
-
-class TestRotation:
-    def test_zero_angle_is_identity(self):
-        for phi in (0.0, 1.0, -2.5):
-            np.testing.assert_allclose(rotation(0.0, phi), IDENTITY2, atol=1e-15)
-
-    def test_pi_pulse_about_x(self):
-        # oracle: generic matrix exponential of the generator
-        expected = expm(-1j * np.pi * SIGMA_X / 2.0)
-        np.testing.assert_allclose(rotation(np.pi, 0.0), expected, atol=1e-12)
-        np.testing.assert_allclose(rotation(np.pi, 0.0), -1j * SIGMA_X, atol=1e-12)
-
-    def test_half_pulse_about_y(self):
-        gate = rotation(np.pi / 2, np.pi / 2)
-        np.testing.assert_allclose(gate, expm(-1j * np.pi * SIGMA_Y / 4.0), atol=1e-12)
-        mapped = PureState(gate @ basis_state(0).amplitudes)
-        target = PureState([1.0, 1.0]).normalized()
-        assert mapped.fidelity(target) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unitarity_and_inverse(self, rng):
-        for theta, phi in rng.uniform(-2 * np.pi, 2 * np.pi, size=(100, 2)):
-            gate = rotation(theta, phi)
-            assert is_unitary(gate, atol=1e-12)
-            assert abs(abs(np.linalg.det(gate)) - 1.0) < 1e-12
-            np.testing.assert_allclose(
-                gate @ rotation(-theta, phi), IDENTITY2, atol=1e-12
-            )
 
 
 class TestMeasureProjectors:
