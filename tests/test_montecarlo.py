@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from ptqubit import (
     sample_conditional,
     witness_sampled,
 )
+from ptqubit.cli import main
 from ptqubit.montecarlo import substream
 
 
@@ -180,3 +185,74 @@ def test_expected_success_rate_monotone_in_ratio():
         record = sample_conditional(-1, np.pi / 2, PtParams(gamma=ratio), config)
         sigma = np.sqrt(success * (1.0 - success) / 10**5)
         assert abs(record.success_rate - success) <= 5.0 * max(sigma, 1e-9)
+
+
+# Seeded draws are part of the output contract: these JSON rows (quantity,
+# estimate, stderr, accepted, attempted, success_rate) are frozen literals,
+# so any change to substream labels, slot numbers, draw order or the order
+# of floating-point operations in the estimators shows up here bit for bit.
+FROZEN_ROWS = [
+    ('--quantity conditional --mode ideal --gamma 0.6 --shots 2000 --seed 3 --qin 1 --tau 0.7',
+     ['conditional', 0.258, 0.009783557635134573, 2000, 2000, 1.0]),
+    ('--quantity conditional --mode ideal --gamma 0.35 --shots 777 --seed 2024 --qin 1 --tau 0.7',
+     ['conditional', 0.4362934362934363, 0.01779120550247442, 777, 777, 1.0]),
+    ('--quantity conditional --mode ideal --gamma 0.6 --shots 2000 --seed 3 --qin 1 --tau 0.7 --bootstrap',
+     ['conditional', 0.258, 0.009590254061961711, 2000, 2000, 1.0]),
+    ('--quantity conditional --mode ideal --gamma 0.35 --shots 777 --seed 2024 --qin 1 --tau 0.7 --bootstrap',
+     ['conditional', 0.4362934362934363, 0.017712664125646895, 777, 777, 1.0]),
+    ('--quantity conditional --mode dilated --gamma 0.6 --shots 2000 --seed 3 --qin 1 --tau 0.7',
+     ['conditional', 0.25900900900900903, 0.01470135673785795, 888, 2000, 0.444]),
+    ('--quantity conditional --mode dilated --gamma 0.35 --shots 777 --seed 2024 --qin 1 --tau 0.7',
+     ['conditional', 0.3333333333333333, 0.025161711869879904, 351, 777, 0.4517374517374517]),
+    ('--quantity conditional --mode dilated --gamma 0.6 --shots 2000 --seed 3 --qin 1 --tau 0.7 --bootstrap',
+     ['conditional', 0.25900900900900903, 0.01466454597075147, 888, 2000, 0.444]),
+    ('--quantity conditional --mode dilated --gamma 0.35 --shots 777 --seed 2024 --qin 1 --tau 0.7 --bootstrap',
+     ['conditional', 0.3333333333333333, 0.024943160666424255, 351, 777, 0.4517374517374517]),
+    ('--quantity k3 --mode ideal --gamma 0.6 --shots 2000 --seed 3 --t 0.45',
+     ['k3', 1.299059, 0.024884203245171425, 10000, 10000, 1.0]),
+    ('--quantity k3 --mode ideal --gamma 0.35 --shots 777 --seed 2024 --t 0.45',
+     ['k3', 1.4080307555211031, 0.046653919804110634, 3885, 3885, 1.0]),
+    ('--quantity k3 --mode ideal --gamma 0.6 --shots 2000 --seed 3 --t 0.45 --bootstrap',
+     ['k3', 1.299059, 0.025194162802285713, 10000, 10000, 1.0]),
+    ('--quantity k3 --mode ideal --gamma 0.35 --shots 777 --seed 2024 --t 0.45 --bootstrap',
+     ['k3', 1.4080307555211031, 0.04486194692760484, 3885, 3885, 1.0]),
+    ('--quantity k3 --mode dilated --gamma 0.6 --shots 2000 --seed 3 --t 0.45',
+     ['k3', 1.289474429276673, 0.035543153575719966, 5615, 10000, 0.5615]),
+    ('--quantity k3 --mode dilated --gamma 0.35 --shots 777 --seed 2024 --t 0.45',
+     ['k3', 1.3993459067643035, 0.06494996284368303, 2108, 3885, 0.5425997425997426]),
+    ('--quantity k3 --mode dilated --gamma 0.6 --shots 2000 --seed 3 --t 0.45 --bootstrap',
+     ['k3', 1.289474429276673, 0.036710521283360324, 5615, 10000, 0.5615]),
+    ('--quantity k3 --mode dilated --gamma 0.35 --shots 777 --seed 2024 --t 0.45 --bootstrap',
+     ['k3', 1.3993459067643035, 0.06247906934239039, 2108, 3885, 0.5425997425997426]),
+    ('--quantity witness --mode ideal --gamma 0.6 --shots 2000 --seed 3 --tau 0.6',
+     ['witness', 0.7260000000000001, 0.010867324877816066, 4000, 4000, 1.0]),
+    ('--quantity witness --mode ideal --gamma 0.35 --shots 777 --seed 2024 --tau 0.6',
+     ['witness', 0.6254826254826255, 0.018827432165332277, 1554, 1554, 1.0]),
+    ('--quantity witness --mode ideal --gamma 0.6 --shots 2000 --seed 3 --tau 0.6 --bootstrap',
+     ['witness', 0.7260000000000001, 0.010444111953799561, 4000, 4000, 1.0]),
+    ('--quantity witness --mode ideal --gamma 0.35 --shots 777 --seed 2024 --tau 0.6 --bootstrap',
+     ['witness', 0.6254826254826255, 0.01874488722879896, 1554, 1554, 1.0]),
+    ('--quantity witness --mode dilated --gamma 0.6 --shots 2000 --seed 3 --tau 0.6',
+     ['witness', 0.7196549332596027, 0.019769145497009075, 1556, 4000, 0.389]),
+    ('--quantity witness --mode dilated --gamma 0.35 --shots 777 --seed 2024 --tau 0.6',
+     ['witness', 0.6518909446839892, 0.026416275108277616, 691, 1554, 0.4446589446589447]),
+    ('--quantity witness --mode dilated --gamma 0.6 --shots 2000 --seed 3 --tau 0.6 --bootstrap',
+     ['witness', 0.7196549332596027, 0.019275286088696893, 1556, 4000, 0.389]),
+    ('--quantity witness --mode dilated --gamma 0.35 --shots 777 --seed 2024 --tau 0.6 --bootstrap',
+     ['witness', 0.6518909446839892, 0.026260581037560397, 691, 1554, 0.4446589446589447]),
+    ('--quantity k3 --mode dilated --gamma 1.998 --t 0.7 --shots 5000 --seed 11 --j 2',
+     ['k3', 1.0247730987237889, 0.018892792719456028, 10917, 25000, 0.43668]),
+    ('--quantity witness --mode dilated --gamma 0.9 --shots 20 --seed 1',
+     ['witness', 0.905, 0.09025657870759339, 13, 40, 0.325]),
+    ('--quantity witness --mode ideal --gamma 0.98 --shots 3 --seed 5 --bootstrap',
+     ['witness', 1.0, 0.0, 6, 6, 1.0]),
+]
+
+
+@pytest.mark.parametrize("flags, row", FROZEN_ROWS, ids=[flags for flags, _ in FROZEN_ROWS])
+def test_seeded_rows_are_frozen(flags, row):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["montecarlo", *flags.split(), "--format", "json"])
+    assert status == 0
+    assert json.loads(out.getvalue())["rows"] == [row]
