@@ -9,9 +9,7 @@ optimization.
 __version__ = "0.1.0"
 
 from .correlations import (
-    DEFAULT_SCENARIO,
     CorrelatorSet,
-    MeasurementScenario,
     WitnessResult,
     conditional_prob,
     correlators,
@@ -27,7 +25,6 @@ from .dilation import (
     pt_via_dilation,
 )
 from .errors import (
-    DegenerateSpectrumError,
     NormalizationError,
     NoStatisticsError,
     ParameterError,
@@ -66,8 +63,6 @@ from .qstate import (
     PureState,
     bloch_from,
     fubini_study_distance,
-    is_hermitian,
-    measure_projectors,
     minus_y,
     plus_y,
 )
@@ -85,8 +80,6 @@ __all__ = [
     "minus_y",
     "bloch_from",
     "fubini_study_distance",
-    "measure_projectors",
-    "is_hermitian",
     # dynamics
     "PtParams",
     "Regime",
@@ -108,8 +101,6 @@ __all__ = [
     "pt_via_dilation",
     "dilation_report",
     # correlations
-    "MeasurementScenario",
-    "DEFAULT_SCENARIO",
     "CorrelatorSet",
     "WitnessResult",
     "conditional_prob",
@@ -132,7 +123,6 @@ __all__ = [
     "PtQubitError",
     "ParameterError",
     "NormalizationError",
-    "DegenerateSpectrumError",
     "RegimeError",
     "VanishingNormError",
     "NoStatisticsError",

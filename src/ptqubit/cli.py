@@ -7,8 +7,8 @@ flat key=value pairs sets any flag of the subcommand by its name (switches
 take 1/0/true/false); explicit flags override it and unknown keys exit 2.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 numeric failure
-(vanishing or non-finite norm, empty statistics, degenerate observable, or a
-failed self-check residual): every other package error.
+(vanishing or non-finite norm, empty statistics, or a failed self-check
+residual): every other package error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .optimize import (
     ep_discontinuity,
     sweep_gamma,
 )
-from .pt_dynamics import EP_THRESHOLD, PtParams, speed_profile, trajectory
+from .pt_dynamics import PtParams, speed_profile, trajectory
 from .qstate import minus_y
 
 SCHEMA_VERSION = "1"
@@ -53,6 +53,9 @@ _SWITCH_VALUES = {"1": True, "true": True, "0": False, "false": False}
 # 50 intervals per quarter-period flip; a rendering choice, not physics.
 _TRAJECTORY_GRID = f"0:{math.pi / 2}:51"
 
+#: Largest number of points in a lo:hi:n grid.
+MAX_GRID_POINTS = 10**6
+
 
 def parse_grid(spec: str) -> np.ndarray:
     """Parse 'lo:hi:n' into n evenly spaced points including both endpoints."""
@@ -63,8 +66,10 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"grid must be lo:hi:n with numeric fields, got {spec!r}") from exc
-    if n < 1:
-        raise ParameterError(f"grid needs at least 1 point, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"grid bounds must be finite, got {spec!r}")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ParameterError(f"grid needs 1 to {MAX_GRID_POINTS} points, got {n}")
     if hi < lo:
         raise ParameterError(f"grid upper bound {hi} is below lower bound {lo}")
     if n == 1 and hi != lo:
@@ -231,21 +236,17 @@ def _cmd_k3max(args) -> int:
             {"j": j, "eps": eps},
             0,
         )
-    grid = parse_grid(args.grid)
-    if np.any(np.abs(grid - 1.0) <= EP_THRESHOLD):
-        raise ParameterError(
-            "the gamma/j grid touches the exceptional point 1, where the optimum is "
-            "discontinuous; choose a grid that avoids gamma/j = 1, or use --ep-report "
-            "for the limits on both sides"
-        )
-    points = sweep_gamma(grid, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol)
+    points = sweep_gamma(
+        parse_grid(args.grid), j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol
+    )
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
     return _emit(["gamma_over_j", "regime", "t_star", "k3_max"], rows, args, {"j": j}, 0)
 
 
 def _cmd_witness(args) -> int:
-    j = args.j
-    ratios = [_params(args).ratio] if args.grid is None else parse_grid(args.grid)
+    params = _params(args)  # validates --j and --gamma before any ratio is scaled
+    j = params.j
+    ratios = [params.ratio] if args.grid is None else parse_grid(args.grid)
     rows = []
     for ratio in np.asarray(ratios, dtype=float):
         result = quantum_witness(PtParams(j=j, gamma=ratio * j))

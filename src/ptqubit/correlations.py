@@ -3,7 +3,8 @@ the temporal-correlation figures of merit K3 and W.
 
 All correlators are assembled from conditional probabilities p_tau(Q'|Q): the
 chance of reading outcome Q' after evolving for a scaled time tau from the
-eigenstate |Q> of the chosen dichotomic observable.  Measurements at the
+eigenstate |Q> of sigma_y, the one observable the protocol prepares and
+reads (Leggett & Garg, PRL 54, 857 (1985)).  Measurements at the
 three instants (0, T, 2T) then give
 
     C12 = -p_T(+|-) + p_T(-|-)
@@ -20,47 +21,28 @@ be scalars or arrays: a whole grid of T is propagated in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, RegimeError
 from .pt_dynamics import PtParams, Regime, _evolve, evolve_state_scaled
-from .qstate import SIGMA_Y, Operator2, PureState, measure_projectors, minus_y, plus_y
+from .qstate import PureState, minus_y, plus_y
 
 
-@dataclass(frozen=True)
-class MeasurementScenario:
-    """Initial state and dichotomic observable of the (0, T, 2T) protocol.
-
-    Defaults to the equatorial-flip configuration: start in the -1 eigenstate
-    of sigma_y and measure sigma_y.  The observable must be Hermitian with
-    two distinct eigenvalues; the larger one is mapped to Q = +1.
-    """
-
-    initial_state: PureState = field(default_factory=minus_y)
-    observable: Operator2 = field(default_factory=lambda: np.array(SIGMA_Y))
-
-    def __post_init__(self):
-        obs = np.array(self.observable, dtype=complex).reshape(2, 2)
-        obs.setflags(write=False)
-        object.__setattr__(self, "observable", obs)
-        p_plus, p_minus, _ = measure_projectors(obs)  # validates dichotomy
-        # any nonzero column of a rank-1 projector spans its range
-        plus = PureState(p_plus[:, int(np.argmax(np.abs(np.diag(p_plus))))]).normalized()
-        minus = PureState(p_minus[:, int(np.argmax(np.abs(np.diag(p_minus))))]).normalized()
-        object.__setattr__(self, "_eigenstates", {+1: plus, -1: minus})
-        object.__setattr__(self, "initial_state", self.initial_state.normalized())
-
-    def eigenstate(self, q: int) -> PureState:
-        """Eigenstate for outcome q in {+1, -1}."""
-        try:
-            return self._eigenstates[q]
-        except KeyError:
-            raise ParameterError(f"outcome must be +1 or -1, got {q}") from None
+#: Eigenstates of sigma_y by outcome Q = +1, -1: the protocol prepares and
+#: reads these and no other observable.  math.sqrt(0.5) is 1/sqrt(2)
+#: correctly rounded; dividing by np.sqrt(2) lands one ulp lower, which
+#: would move seeded Monte Carlo draws.
+_EIGENSTATES = {q: PureState(math.sqrt(0.5) * np.array([1.0, q * 1j])) for q in (+1, -1)}
 
 
-DEFAULT_SCENARIO = MeasurementScenario()
+def _eigenstate(q: int) -> PureState:
+    """sigma_y eigenstate for outcome q in {+1, -1}."""
+    try:
+        return _EIGENSTATES[q]
+    except KeyError:
+        raise ParameterError(f"outcome must be +1 or -1, got {q}") from None
 
 
 @dataclass(frozen=True)
@@ -86,25 +68,16 @@ class WitnessResult:
     w: float
 
 
-def conditional_prob(
-    q_out: int,
-    q_in: int,
-    tau,
-    params: PtParams,
-    scenario: MeasurementScenario | None = None,
-):
-    """p_tau(q_out | q_in): Born probability after evolving an eigenstate.
+def conditional_prob(q_out: int, q_in: int, tau, params: PtParams):
+    """p_tau(q_out | q_in): Born probability after evolving a sigma_y eigenstate.
 
     tau is scaled time (tau in PTS/EP, w*t in PTB), a scalar or an array;
     the result is a float, or an array of tau's shape.  For each q_in the
     two outcomes are complementary to machine precision because the evolved
     state is renormalized before projection.
     """
-    scenario = scenario or DEFAULT_SCENARIO
-    evolved = _evolve(
-        scenario.eigenstate(q_in).amplitudes, params, params.time_from_scaled(tau)
-    )
-    p = np.abs(evolved @ scenario.eigenstate(q_out).amplitudes.conj()) ** 2
+    evolved = _evolve(_eigenstate(q_in).amplitudes, params, params.time_from_scaled(tau))
+    p = np.abs(evolved @ _eigenstate(q_out).amplitudes.conj()) ** 2
     return p if p.ndim else float(p)
 
 
@@ -130,11 +103,7 @@ def k3_gradient(a1, c, a2, b, a3):
     return (-2.0, 2.0, 2.0 * b + 2.0 * a3 - 2.0, 2.0 * a2, -2.0 * (1.0 - a2))
 
 
-def correlators(
-    t_interval,
-    params: PtParams,
-    scenario: MeasurementScenario | None = None,
-) -> CorrelatorSet:
+def correlators(t_interval, params: PtParams) -> CorrelatorSet:
     """Correlator set at measurement intervals T (scaled units).
 
     T is a scalar or an array; every field of the result then has T's shape
@@ -142,11 +111,10 @@ def correlators(
     the break (one flip period; everything is periodic beyond it) and any
     T >= 0 on the hyperbolic side.
     """
-    scenario = scenario or DEFAULT_SCENARIO
     t = np.asarray(t_interval, dtype=float)
-    a = conditional_prob(+1, -1, t, params, scenario)
-    b = conditional_prob(+1, +1, t, params, scenario)
-    c = conditional_prob(+1, -1, 2.0 * t, params, scenario)
+    a = conditional_prob(+1, -1, t, params)
+    b = conditional_prob(+1, +1, t, params)
+    c = conditional_prob(+1, -1, 2.0 * t, params)
     c12, c23, c13, k3 = assemble_k3(a, c, a, b, a)
     return CorrelatorSet(t=t if t.ndim else float(t), c12=c12, c23=c23, c13=c13, k3=k3)
 

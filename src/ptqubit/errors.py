@@ -13,10 +13,6 @@ class NormalizationError(PtQubitError):
     """A state that must be normalized is not, beyond tolerance."""
 
 
-class DegenerateSpectrumError(PtQubitError):
-    """An observable that must be dichotomic has a (near-)degenerate spectrum."""
-
-
 class RegimeError(PtQubitError):
     """An operation defined only in one symmetry regime was called in another."""
 

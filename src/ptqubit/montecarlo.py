@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    DEFAULT_SCENARIO,
-    MeasurementScenario,
-    assemble_k3,
-    k3_gradient,
-    witness_initial_state,
-)
+from .correlations import _eigenstate, assemble_k3, k3_gradient, witness_initial_state
 from .dilation import pt_via_dilation
 from .errors import NoStatisticsError, ParameterError
 from .pt_dynamics import PtParams, evolve_state_scaled
@@ -84,90 +78,70 @@ def substream(seed: int, label: str, slot: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _slot_probabilities(psi: PureState, tau: float, params, scenario, mode: str):
-    """(success probability, accepted-shot probability of Q' = +1) for one slot.
+def _draw(
+    psi: PureState, tau: float, shots: int, label: str, params: PtParams, config: ShotConfig
+) -> tuple[int, float]:
+    """(accepted, proportion of +1 readouts) for one slot of `shots` preparations of psi.
 
-    psi is the preparation; it evolves for the scaled time tau directly
-    (ideal mode) or through the dilation with post-selection (dilated mode).
+    psi evolves for the scaled time tau directly (ideal mode, every shot
+    accepted) or through the dilation, whose post-selection draws the
+    accepted count from substream slot 0 (dilated mode); the readouts come
+    from slot 1.  A slot without preparations gives (0, 0.0); one whose every
+    preparation fails post-selection raises NoStatisticsError.
     """
-    if mode == "ideal":
-        success, evolved = 1.0, evolve_state_scaled(psi, params, tau)
+    if shots == 0:
+        return 0, 0.0
+    if config.mode == "ideal":
+        accepted, evolved = shots, evolve_state_scaled(psi, params, tau)
     else:
         evolved, success = pt_via_dilation(psi, params, tau)
-    return success, scenario.eigenstate(+1).fidelity(evolved)
-
-
-def _draw_slot(p_success, p_plus, shots, seed, label, mode) -> tuple[int, int]:
-    """Draw (accepted, plus-count) for one probability slot of shots >= 1."""
-    # exact Born weights can land an ulp outside [0, 1]
-    p_success = min(max(p_success, 0.0), 1.0)
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    if mode == "ideal":
-        accepted = shots
-    else:
-        accepted = int(substream(seed, label, 0).binomial(shots, p_success))
-    if accepted == 0:
-        raise NoStatisticsError(f"slot {label!r}: no shots survived post-selection")
-    plus = int(substream(seed, label, 1).binomial(accepted, p_plus))
-    return accepted, plus
-
-
-def _proportion_variance(p_hat: float, n: int) -> float:
-    return p_hat * (1.0 - p_hat) / n if n > 0 else 0.0
-
-
-def _bootstrap_stderr(slot_stats, assemble, rng: np.random.Generator) -> float:
-    """Spread of the assembled statistic over resampled slot counts.
-
-    Each slot's plus-count is redrawn at its observed rate
-    (zero-weight slots stay at zero), then `assemble` maps the resampled
-    proportions back to the statistic.
-    """
-    proportions = []
-    for accepted, p_hat in slot_stats:
+        # exact Born weights can land an ulp outside [0, 1]
+        success = min(max(success, 0.0), 1.0)
+        accepted = int(substream(config.seed, label, 0).binomial(shots, success))
         if accepted == 0:
-            proportions.append(np.zeros(BOOTSTRAP_RESAMPLES))
-            continue
-        rate = min(max(p_hat, 0.0), 1.0)
-        proportions.append(rng.binomial(accepted, rate, size=BOOTSTRAP_RESAMPLES) / accepted)
-    return float(np.std(assemble(*proportions), ddof=1))
+            raise NoStatisticsError(f"slot {label!r}: no shots survived post-selection")
+    p_plus = min(max(_eigenstate(+1).fidelity(evolved), 0.0), 1.0)
+    plus = int(substream(config.seed, label, 1).binomial(accepted, p_plus))
+    return accepted, plus / accepted
 
 
-def sample_conditional(
-    q_in: int,
-    tau: float,
-    params: PtParams,
-    config: ShotConfig,
-    scenario: MeasurementScenario | None = None,
-) -> ShotRecord:
-    """Estimate p_tau(+1 | q_in) from finite shots."""
-    scenario = scenario or DEFAULT_SCENARIO
-    p_success, p_plus = _slot_probabilities(
-        scenario.eigenstate(q_in), tau, params, scenario, config.mode
-    )
-    label = f"conditional:{q_in:+d}"
-    accepted, plus = _draw_slot(p_success, p_plus, config.shots, config.seed, label, config.mode)
-    estimate = plus / accepted
+def _stderr(
+    slots: dict, statistic, gradient: dict, config: ShotConfig, stream: tuple[str, int]
+) -> float:
+    """Standard error of statistic(*proportions) over independent binomial slots.
+
+    slots maps labels to (count, proportion) in statistic's argument order.
+    With config.bootstrap, each slot's count is redrawn BOOTSTRAP_RESAMPLES
+    times at its observed rate from substream(config.seed, *stream), in slot
+    order (zero-count slots stay at zero), and the spread of the statistic is
+    returned.  Otherwise the variances p(1 - p)/n propagate to first order
+    through gradient, which maps labels to partial derivatives and is summed
+    in its own order.
+    """
     if config.bootstrap:
-        stderr = _bootstrap_stderr(
-            [(accepted, estimate)], lambda p: p, substream(config.seed, label, 2)
-        )
-    else:
-        stderr = math.sqrt(_proportion_variance(estimate, accepted))
-    return ShotRecord(
-        accepted=accepted,
-        attempted=config.shots,
-        estimate=estimate,
-        stderr=stderr,
-    )
+        rng = substream(config.seed, *stream)
+        resampled = [
+            rng.binomial(n, p, size=BOOTSTRAP_RESAMPLES) / n if n else np.zeros(BOOTSTRAP_RESAMPLES)
+            for n, p in slots.values()
+        ]
+        return float(np.std(statistic(*resampled), ddof=1))
+    variance = 0
+    for label, g in gradient.items():
+        n, p = slots[label]
+        variance += g**2 * (p * (1.0 - p) / n if n else 0.0)
+    return math.sqrt(variance)
 
 
-def k3_sampled(
-    t_interval: float,
-    params: PtParams,
-    config: ShotConfig,
-    scenario: MeasurementScenario | None = None,
-) -> ShotRecord:
+def sample_conditional(q_in: int, tau: float, params: PtParams, config: ShotConfig) -> ShotRecord:
+    """Estimate p_tau(+1 | q_in) from finite shots."""
+    label = f"conditional:{q_in:+d}"
+    accepted, estimate = _draw(_eigenstate(q_in), tau, config.shots, label, params, config)
+    slots = {label: (accepted, estimate)}
+    stderr = _stderr(slots, lambda p: p, {label: 1.0}, config, (label, 2))
+    return ShotRecord(accepted=accepted, attempted=config.shots, estimate=estimate, stderr=stderr)
+
+
+def k3_sampled(t_interval: float, params: PtParams, config: ShotConfig) -> ShotRecord:
     """Estimate K3 at interval T from five independent probability slots.
 
     The protocol runs five separate batches, one per conditional probability
@@ -176,45 +150,24 @@ def k3_sampled(
     The standard error combines the five independent binomial variances to
     first order (or bootstraps them, per the config).
     """
-    scenario = scenario or DEFAULT_SCENARIO
-    slots = {
+    plan = {
         "k3:c12": (-1, t_interval),
         "k3:c13": (-1, 2.0 * t_interval),
         "k3:c23:collapse": (-1, t_interval),
         "k3:c23:from+": (+1, t_interval),
         "k3:c23:from-": (-1, t_interval),
     }
-    estimates, variances, counts = {}, {}, {}
-    for label, (q_in, tau) in slots.items():
-        p_success, p_plus = _slot_probabilities(
-            scenario.eigenstate(q_in), tau, params, scenario, config.mode
-        )
-        accepted, plus = _draw_slot(
-            p_success, p_plus, config.shots, config.seed, label, config.mode
-        )
-        estimates[label] = plus / accepted
-        variances[label] = _proportion_variance(estimates[label], accepted)
-        counts[label] = accepted
-
-    ordered = list(slots)
-    proportions = [estimates[s] for s in ordered]
-    k3 = assemble_k3(*proportions)[3]
-
-    if config.bootstrap:
-        stderr = _bootstrap_stderr(
-            [(counts[s], estimates[s]) for s in ordered],
-            lambda *p: assemble_k3(*p)[3],
-            substream(config.seed, "k3:bootstrap", 0),
-        )
-    else:
-        gradient = k3_gradient(*proportions)
-        stderr = math.sqrt(sum(g**2 * variances[s] for g, s in zip(gradient, ordered)))
-
+    slots = {
+        label: _draw(_eigenstate(q_in), tau, config.shots, label, params, config)
+        for label, (q_in, tau) in plan.items()
+    }
+    proportions = [p for _, p in slots.values()]
+    gradient = dict(zip(slots, k3_gradient(*proportions)))
     return ShotRecord(
-        accepted=sum(counts.values()),
+        accepted=sum(n for n, _ in slots.values()),
         attempted=len(slots) * config.shots,
-        estimate=k3,
-        stderr=stderr,
+        estimate=assemble_k3(*proportions)[3],
+        stderr=_stderr(slots, lambda *p: assemble_k3(*p)[3], gradient, config, ("k3:bootstrap", 0)),
     )
 
 
@@ -228,61 +181,32 @@ def witness_sampled(
     The no-measurement branch evolves the witness preparation directly.  The
     measurement branch draws the collapse outcome at time zero from exact
     Born weights (a measurement on a freshly prepared known state), then
-    re-evolves each collapse branch through the sampling mode in use.
+    re-evolves each collapse branch through the sampling mode in use; a
+    branch that no collapse outcome reached contributes nothing.
     """
     psi0 = witness_initial_state(params)
-    plus_state = DEFAULT_SCENARIO.eigenstate(+1)
-    shots, seed, mode = config.shots, config.seed, config.mode
+    shots = config.shots
+    direct = _draw(psi0, tau, shots, "witness:direct", params, config)
 
-    # Zero-weight branches contribute nothing; only raise when a branch that
-    # actually received preparations loses every shot to post-selection.
-    def slot(psi, n, label):
-        if n == 0:
-            return 0, 0.0, 0.0
-        p_success, p_plus = _slot_probabilities(psi, tau, params, DEFAULT_SCENARIO, mode)
-        acc, plus = _draw_slot(p_success, p_plus, n, seed, label, mode)
-        q_hat = plus / acc
-        return acc, q_hat, _proportion_variance(q_hat, acc)
+    p_plus_zero = min(max(_eigenstate(+1).fidelity(psi0), 0.0), 1.0)
+    n_plus = int(substream(config.seed, "witness:first", 0).binomial(shots, p_plus_zero))
+    first = (shots, n_plus / shots)
+    from_plus = _draw(_eigenstate(+1), tau, n_plus, "witness:from+", params, config)
+    from_minus = _draw(_eigenstate(-1), tau, shots - n_plus, "witness:from-", params, config)
 
-    acc_direct, p_hat_without, var_without = slot(psi0, shots, "witness:direct")
+    def statistic(p0, p_without, q_plus, q_minus):
+        return abs(p0 * q_plus + (1.0 - p0) * q_minus - p_without)
 
-    p_plus_zero = min(max(plus_state.fidelity(psi0), 0.0), 1.0)
-    n_plus = int(substream(seed, "witness:first", 0).binomial(shots, p_plus_zero))
-    n_minus = shots - n_plus
-    p0_hat = n_plus / shots
-    var_p0 = _proportion_variance(p0_hat, shots)
-
-    acc_plus, q_plus_hat, var_q_plus = slot(plus_state, n_plus, "witness:from+")
-    acc_minus, q_minus_hat, var_q_minus = slot(
-        DEFAULT_SCENARIO.eigenstate(-1), n_minus, "witness:from-"
-    )
-
-    p_hat_with = p0_hat * q_plus_hat + (1.0 - p0_hat) * q_minus_hat
-
-    if config.bootstrap:
-        stderr = _bootstrap_stderr(
-            [
-                (shots, p0_hat),
-                (acc_direct, p_hat_without),
-                (acc_plus, q_plus_hat),
-                (acc_minus, q_minus_hat),
-            ],
-            lambda p0, pw, qp, qm: np.abs(p0 * qp + (1.0 - p0) * qm - pw),
-            substream(seed, "witness:bootstrap", 0),
-        )
-    else:
-        var_with = (
-            (q_plus_hat - q_minus_hat) ** 2 * var_p0
-            + p0_hat**2 * var_q_plus
-            + (1.0 - p0_hat) ** 2 * var_q_minus
-        )
-        stderr = math.sqrt(var_with + var_without)
-
+    slots = {"first": first, "direct": direct, "from+": from_plus, "from-": from_minus}
+    p0, q_plus, q_minus = first[1], from_plus[1], from_minus[1]
+    # p_with's terms, then p_without's: this summation order keeps every
+    # bit of the seeded error bars
+    gradient = {"first": q_plus - q_minus, "from+": p0, "from-": 1.0 - p0, "direct": 1.0}
     # One branch per probability: `shots` direct evolutions and `shots`
     # measure-then-re-evolve runs.
     return ShotRecord(
-        accepted=acc_direct + acc_plus + acc_minus,
+        accepted=direct[0] + from_plus[0] + from_minus[0],
         attempted=2 * shots,
-        estimate=abs(p_hat_with - p_hat_without),
-        stderr=stderr,
+        estimate=statistic(p0, direct[1], q_plus, q_minus),
+        stderr=_stderr(slots, statistic, gradient, config, ("witness:bootstrap", 0)),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import MeasurementScenario, correlators
+from .correlations import correlators
 from .errors import ParameterError
 from .pt_dynamics import EP_THRESHOLD, PtParams, Regime
 
@@ -24,6 +24,9 @@ from .pt_dynamics import EP_THRESHOLD, PtParams, Regime
 DEFAULT_PTS_RANGE = (0.0, math.pi / 4.0)
 WIDE_PTS_RANGE = (0.0, math.pi / 2.0)
 DEFAULT_PTB_RANGE = (0.0, 10.0)
+
+#: Samples of the dense scan that seeds the golden-section refinement.
+GRID_POINTS = 2000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,38 +74,34 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
 
 def max_k3_over_T(
     params: PtParams,
-    scenario: MeasurementScenario | None = None,
     t_range: tuple[float, float] = DEFAULT_PTS_RANGE,
     tol: float = 1e-8,
-    grid_points: int = 2000,
 ) -> tuple[float, float]:
     """Global maximum of K3 over an interval range; returns (t_star, k3_max).
 
-    Dense scan with `grid_points` samples, evaluated in one array call, then
+    Dense scan with GRID_POINTS samples, evaluated in one array call, then
     scalar golden-section refinement of the best grid cell down to
     |dT| < tol.  Ties break toward smaller T, and the refinement can only
     improve on the scan.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
-    if lo > hi:
+    if not -math.inf < lo <= hi < math.inf:
         raise ParameterError(f"invalid search range ({lo}, {hi})")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    if grid_points < 2:
-        raise ParameterError(f"grid must have at least 2 points, got {grid_points}")
 
     def objective(t):
-        return correlators(t, params, scenario).k3
+        return correlators(t, params).k3
 
     if lo == hi:
         return lo, objective(lo)
 
-    grid = np.linspace(lo, hi, grid_points)
-    values = correlators(grid, params, scenario).k3
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    values = correlators(grid, params).k3
     best = int(np.argmax(values))  # first (smallest-T) maximizer on ties
     t_best, v_best = float(grid[best]), float(values[best])
     bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, grid_points - 1)]
+    bracket_hi = grid[min(best + 1, GRID_POINTS - 1)]
     t_ref, v_ref = _golden_section_max(objective, bracket_lo, bracket_hi, tol)
     if v_ref > v_best or (v_ref == v_best and t_ref < t_best):
         return t_ref, v_ref
@@ -111,34 +110,35 @@ def max_k3_over_T(
 
 def sweep_gamma(
     ratio_grid,
-    scenario: MeasurementScenario | None = None,
     *,
     j: float = 1.0,
     pts_range: tuple[float, float] = DEFAULT_PTS_RANGE,
     ptb_range: tuple[float, float] = DEFAULT_PTB_RANGE,
     tol: float = 1e-8,
-    grid_points: int = 2000,
-    allow_ep: bool = False,
 ) -> list[SweepPoint]:
     """Per-ratio K3 optimization across both regimes.
 
-    Ratios within EP_THRESHOLD of 1 are rejected unless allow_ep is set,
-    since the optimum is discontinuous there and a silent regime pick would
-    mislead.  The search window follows the regime: pts_range (scaled tau)
-    below, ptb_range (w*t) above.
+    A grid with any ratio within EP_THRESHOLD of 1 is rejected before any
+    optimization, since the optimum is discontinuous there and a silent
+    regime pick would mislead (ep_discontinuity reports both sides).  The
+    search window follows the regime: pts_range (scaled tau) below,
+    ptb_range (w*t) above.
     """
+    ratios = np.asarray(ratio_grid, dtype=float)
+    if np.any(np.abs(ratios - 1.0) <= EP_THRESHOLD):
+        raise ParameterError(
+            "the gamma/j grid touches the exceptional point 1, where the optimum is "
+            "discontinuous; choose a grid that avoids gamma/j = 1, or use --ep-report "
+            "for the limits on both sides"
+        )
+    PtParams(j=j)  # validates j before any ratio scales it
     points = []
-    for ratio in np.asarray(ratio_grid, dtype=float):
+    for ratio in ratios:
         if ratio < 0.0:
             raise ParameterError(f"gamma/j must be >= 0, got {ratio}")
-        if abs(ratio - 1.0) <= EP_THRESHOLD and not allow_ep:
-            raise ParameterError(
-                f"gamma/j = {ratio} sits in the exceptional-point band; "
-                "pass allow_ep=True to evaluate it"
-            )
         params = PtParams(j=j, gamma=ratio * j)
         t_range = ptb_range if params.regime is Regime.PTB else pts_range
-        t_star, k3_max = max_k3_over_T(params, scenario, t_range, tol, grid_points)
+        t_star, k3_max = max_k3_over_T(params, t_range, tol)
         points.append(
             SweepPoint(gamma_over_j=float(ratio), regime=params.regime, t_star=t_star, k3_max=k3_max)
         )
@@ -158,14 +158,12 @@ def _richardson_limit(values, eps_sequence) -> float:
 
 
 def ep_discontinuity(
-    scenario: MeasurementScenario | None = None,
     eps: float = 1e-2,
     *,
     j: float = 1.0,
     pts_range: tuple[float, float] = DEFAULT_PTS_RANGE,
     ptb_range: tuple[float, float] = DEFAULT_PTB_RANGE,
     tol: float = 1e-8,
-    grid_points: int = 2000,
 ) -> EpDiscontinuity:
     """Limits of max K3 as gamma/j approaches 1 from both sides.
 
@@ -185,7 +183,7 @@ def ep_discontinuity(
     def k3_max_at(ratio: float) -> float:
         params = PtParams(j=j, gamma=ratio * j)
         t_range = ptb_range if params.regime is Regime.PTB else pts_range
-        return max_k3_over_T(params, scenario, t_range, tol, grid_points)[1]
+        return max_k3_over_T(params, t_range, tol)[1]
 
     left = [k3_max_at(1.0 - e) for e in eps_sequence]
     right = [k3_max_at(1.0 + e) for e in eps_sequence]

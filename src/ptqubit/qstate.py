@@ -13,11 +13,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NormalizationError, VanishingNormError
+from .errors import NormalizationError, VanishingNormError
 
-# Algebraic identities (unitarity, projector algebra) hold to closed-form
-# double precision; normalized-input checks get a looser gate.
-ATOL_ALGEBRA = 1e-12
+# Gate on the norm (or trace) of inputs that must be normalized.
 ATOL_NORM = 1e-9
 
 # Renormalization floor: below this norm a state counts as annihilated.
@@ -91,12 +89,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def plus_y() -> PureState:
     """(|1> + i|2>)/sqrt(2), the +1 eigenstate of sigma_y."""
@@ -106,10 +98,6 @@ def plus_y() -> PureState:
 def minus_y() -> PureState:
     """(|1> - i|2>)/sqrt(2), the -1 eigenstate of sigma_y."""
     return PureState(np.array([1.0, -1.0j]) / np.sqrt(2.0))
-
-
-def is_hermitian(op: Operator2, atol: float = ATOL_ALGEBRA) -> bool:
-    return bool(np.allclose(op, np.asarray(op).conj().T, rtol=0.0, atol=atol))
 
 
 def bloch_from(state: Union[PureState, DensityMatrix]) -> np.ndarray:
@@ -152,25 +140,3 @@ def fubini_study_distance(a: PureState, b: PureState) -> float:
         raise VanishingNormError("cannot measure distance from a vanishing state")
     return float(_distance(a.amplitudes, b.amplitudes))
 
-
-def measure_projectors(observable: Operator2):
-    """Spectral projectors of a dichotomic Hermitian observable.
-
-    Returns (projector_plus, projector_minus, eigenvalues) with eigenvalues in
-    descending order, so the first projector belongs to the outcome mapped to
-    Q = +1.  Raises DegenerateSpectrumError when the two eigenvalues coincide
-    within tolerance.
-    """
-    obs = np.asarray(observable, dtype=complex)
-    if not is_hermitian(obs):
-        raise DegenerateSpectrumError("observable must be Hermitian")
-    evals, evecs = np.linalg.eigh(obs)  # ascending order
-    if abs(evals[1] - evals[0]) <= ATOL_ALGEBRA * max(1.0, abs(evals[1]), abs(evals[0])):
-        raise DegenerateSpectrumError(
-            f"observable spectrum {evals} is degenerate; no dichotomic outcomes"
-        )
-    plus_vec = evecs[:, 1]
-    minus_vec = evecs[:, 0]
-    projector_plus = np.outer(plus_vec, plus_vec.conj())
-    projector_minus = np.outer(minus_vec, minus_vec.conj())
-    return projector_plus, projector_minus, (float(evals[1]), float(evals[0]))

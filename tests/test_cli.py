@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,21 @@ class TestGridParsing:
         grid = parse_grid("0:1:5")
         np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("spec", ["", "1:2", "a:b:c", "0:1:0", "2:1:5", "0:1:2:3"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["", "1:2", "a:b:c", "0:1:0", "2:1:5", "0:1:2:3",
+         "0:inf:3", "-inf:0:3", "nan:1:3", "0:nan:3", "0:1:1000001"],
+    )
     def test_rejects_malformed(self, spec):
         with pytest.raises(ParameterError):
             parse_grid(spec)
+
+    def test_oversized_grid_exits_2_before_allocating(self, capsys):
+        # 10**12 points would be 8 TB; the cap rejects it before numpy sees it
+        status, out, err = run_cli(capsys, "evolve", "--grid", "0:1:1000000000000")
+        assert status == 2
+        assert out == ""
+        assert "1000000 points" in err
 
 
 class TestEvolve:
@@ -193,6 +205,22 @@ class TestK3Max:
         assert "--ep-report" in err and "avoids gamma/j = 1" in err
         assert "allow_ep" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid", "0.5:0.5:1", "--tol", "nan"],  # NaN passed a `tol <= 0` check
+            ["--grid", "1.5:1.5:1", "--ptb-t-hi", "inf"],  # reached np.linspace(0, inf)
+            ["--grid", "0:0:1", "--j", "inf"],  # 0 * inf before j was checked
+        ],
+    )
+    def test_non_finite_search_inputs_are_parameter_errors(self, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run_cli(capsys, "k3max", *flags)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("ptqubit k3max: ")
+
 
     @pytest.mark.parametrize(
         "flags,status",
@@ -231,6 +259,21 @@ class TestWitness:
         status, _, err = run_cli(capsys, "witness", "--gamma", "1.5")
         assert status == 2
         assert "regime" in err or "gamma" in err
+
+    @pytest.mark.parametrize(
+        "flags,name",
+        [
+            (["--grid", "0:0.5:2", "--gamma", "-1"], "gamma"),  # was ignored with a grid
+            (["--grid", "0:0:1", "--j", "inf"], "coupling rate j"),  # 0 * inf before the check
+        ],
+    )
+    def test_grid_still_validates_rates(self, capsys, flags, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run_cli(capsys, "witness", *flags)
+        assert status == 2
+        assert out == ""
+        assert name in err
 
 
 class TestMonteCarlo:

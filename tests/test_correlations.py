@@ -3,39 +3,39 @@ import pytest
 
 import oracles
 from ptqubit import (
-    DEFAULT_SCENARIO,
-    DegenerateSpectrumError,
-    MeasurementScenario,
     ParameterError,
     PtParams,
     RegimeError,
     conditional_prob,
     correlators,
+    evolve_state_scaled,
     minus_y,
     plus_y,
     pt_via_dilation,
     quantum_witness,
     witness_initial_state,
 )
-from ptqubit.qstate import IDENTITY2, SIGMA_Z
 
 
 class TestMeasurementScenario:
     def test_default_eigenstates_are_y_pair(self):
-        assert DEFAULT_SCENARIO.eigenstate(+1).fidelity(plus_y()) == pytest.approx(1.0, abs=1e-12)
-        assert DEFAULT_SCENARIO.eigenstate(-1).fidelity(minus_y()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_custom_observable(self):
-        scenario = MeasurementScenario(observable=SIGMA_Z)
-        np.testing.assert_allclose(scenario.eigenstate(+1).amplitudes, [1.0, 0.0], atol=1e-12)
-
-    def test_degenerate_observable_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            MeasurementScenario(observable=IDENTITY2)
+        # the protocol prepares and reads sigma_y: p_tau(q_out | q_in) is the
+        # overlap of the evolved q_in eigenstate with the q_out eigenstate
+        params = PtParams(gamma=0.6)
+        pair = {+1: plus_y(), -1: minus_y()}
+        for tau in (0.0, 0.3, 1.1):
+            for q_in, prepared in pair.items():
+                evolved = evolve_state_scaled(prepared, params, tau)
+                for q_out, readout in pair.items():
+                    assert conditional_prob(q_out, q_in, tau, params) == pytest.approx(
+                        readout.fidelity(evolved), abs=1e-15
+                    )
 
     def test_bad_outcome_label(self):
         with pytest.raises(ParameterError):
-            DEFAULT_SCENARIO.eigenstate(0)
+            conditional_prob(+1, 0, 0.3, PtParams())
+        with pytest.raises(ParameterError):
+            conditional_prob(0, -1, 0.3, PtParams())
 
 
 class TestConditionalProb:
@@ -135,9 +135,11 @@ class TestCorrelators:
 
     def test_dilation_backed_path_agrees(self, rng):
         # rebuild the correlators from post-selected dilation runs only
+        eigenstates = {+1: plus_y(), -1: minus_y()}
+
         def dilated_prob(q_out, q_in, tau, params):
-            selected, _ = pt_via_dilation(DEFAULT_SCENARIO.eigenstate(q_in), params, tau)
-            return DEFAULT_SCENARIO.eigenstate(q_out).fidelity(selected)
+            selected, _ = pt_via_dilation(eigenstates[q_in], params, tau)
+            return eigenstates[q_out].fidelity(selected)
 
         for _ in range(10):
             params = PtParams(gamma=rng.uniform(0.0, 0.99))

@@ -11,7 +11,7 @@ from ptqubit import (
     max_k3_over_T,
     sweep_gamma,
 )
-from ptqubit.optimize import DEFAULT_PTB_RANGE, DEFAULT_PTS_RANGE, WIDE_PTS_RANGE
+from ptqubit.optimize import DEFAULT_PTB_RANGE, DEFAULT_PTS_RANGE, GRID_POINTS, WIDE_PTS_RANGE
 
 
 class TestMaxK3OverT:
@@ -38,17 +38,17 @@ class TestMaxK3OverT:
         with pytest.raises(ParameterError):
             max_k3_over_T(PtParams(), tol=0.0)
         with pytest.raises(ParameterError):
-            max_k3_over_T(PtParams(), grid_points=1)
+            max_k3_over_T(PtParams(), tol=float("nan"))
+        for t_range in ((0.0, np.inf), (-np.inf, 0.5), (0.0, np.nan), (np.nan, 0.5)):
+            with pytest.raises(ParameterError):
+                max_k3_over_T(PtParams(gamma=1.5), t_range=t_range)
 
     def test_refinement_only_improves(self, rng):
         for _ in range(50):
             gamma = rng.uniform(0.0, 0.99)
             hi = rng.uniform(0.3, np.pi / 2)
-            points = 500
-            _, k3_max = max_k3_over_T(
-                PtParams(gamma=gamma), t_range=(0.0, hi), tol=1e-8, grid_points=points
-            )
-            grid = np.linspace(0.0, hi, points)
+            _, k3_max = max_k3_over_T(PtParams(gamma=gamma), t_range=(0.0, hi), tol=1e-8)
+            grid = np.linspace(0.0, hi, GRID_POINTS)
             scan_max = float(np.max(oracles.k3_curve_unbroken(gamma, grid)))
             assert scan_max <= k3_max + 1e-8
 
@@ -62,9 +62,7 @@ class TestMaxK3OverT:
 
     def test_nondecreasing_in_ratio(self):
         ratios = np.arange(0.0, 0.991, 0.01)
-        values = [
-            max_k3_over_T(PtParams(gamma=r), grid_points=400)[1] for r in ratios
-        ]
+        values = [max_k3_over_T(PtParams(gamma=r))[1] for r in ratios]
         assert np.all(np.diff(values) >= -1e-9)
 
     def test_hermitian_maximum_independent_of_window(self):
@@ -96,18 +94,19 @@ class TestSweepGamma:
         assert point.k3_max == pytest.approx(brute, abs=1e-6)
 
     def test_break_band_excluded_by_default(self):
-        with pytest.raises(ParameterError):
-            sweep_gamma([1.0])
-        (point,) = sweep_gamma([1.0], allow_ep=True)
-        # the coalesced eigenvector freezes the start state: K3 sits at 1
-        assert point.k3_max == pytest.approx(1.0, abs=1e-12)
+        for grid in ([1.0], [0.5, 1.0 + 1e-10], [-0.2, 1.0]):
+            with pytest.raises(ParameterError, match="exceptional point"):
+                sweep_gamma(grid)
+        # the optimizer itself evaluates the EP: the coalesced eigenvector
+        # freezes the start state, so K3 sits at 1
+        assert max_k3_over_T(PtParams(gamma=1.0))[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ParameterError):
             sweep_gamma([-0.2])
 
     def test_ordering_follows_input(self):
-        points = sweep_gamma([0.9, 0.0, 0.5], grid_points=300)
+        points = sweep_gamma([0.9, 0.0, 0.5])
         assert [p.gamma_over_j for p in points] == [0.9, 0.0, 0.5]
 
 

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from ptqubit import (
-    DegenerateSpectrumError,
     DensityMatrix,
     NormalizationError,
     PureState,
     bloch_from,
     fubini_study_distance,
-    is_hermitian,
-    measure_projectors,
     minus_y,
     plus_y,
 )
@@ -107,52 +104,3 @@ class TestFubiniStudy:
             d_ab = fubini_study_distance(a, b)
             d_bc = fubini_study_distance(b, c)
             assert d_ac <= d_ab + d_bc + 1e-9
-
-
-class TestMeasureProjectors:
-    def test_sigma_y_projectors(self):
-        p_plus, p_minus, evals = measure_projectors(SIGMA_Y)
-        np.testing.assert_allclose(
-            p_plus, np.outer(plus_y().amplitudes, plus_y().amplitudes.conj()), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            p_minus, np.outer(minus_y().amplitudes, minus_y().amplitudes.conj()), atol=1e-12
-        )
-        assert evals == pytest.approx((1.0, -1.0), abs=1e-12)
-
-    def test_sigma_z_projectors(self):
-        p_plus, p_minus, _ = measure_projectors(SIGMA_Z)
-        np.testing.assert_allclose(p_plus, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(p_minus, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_shift_leaves_eigenbasis_alone(self):
-        # oracle: eigendecomposition of the shifted observable
-        shifted = SIGMA_Y + 3.0 * IDENTITY2
-        p_plus, p_minus, evals = measure_projectors(shifted)
-        q_plus, q_minus, _ = measure_projectors(SIGMA_Y)
-        np.testing.assert_allclose(p_plus, q_plus, atol=1e-12)
-        np.testing.assert_allclose(p_minus, q_minus, atol=1e-12)
-        assert evals == pytest.approx((4.0, 2.0), abs=1e-12)
-
-    def test_projector_algebra(self, rng):
-        for _ in range(50):
-            coeffs = rng.normal(size=3)
-            if np.linalg.norm(coeffs) < 1e-3:
-                continue
-            obs = coeffs[0] * SIGMA_X + coeffs[1] * SIGMA_Y + coeffs[2] * SIGMA_Z
-            p_plus, p_minus, _ = measure_projectors(obs)
-            np.testing.assert_allclose(p_plus @ p_minus, np.zeros((2, 2)), atol=1e-12)
-            np.testing.assert_allclose(p_plus + p_minus, IDENTITY2, atol=1e-12)
-            np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-12)
-            np.testing.assert_allclose(p_minus @ p_minus, p_minus, atol=1e-12)
-
-    def test_degenerate_spectrum_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            measure_projectors(IDENTITY2)
-        with pytest.raises(DegenerateSpectrumError):
-            measure_projectors(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-
-
-def test_hermiticity_predicate():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(SIGMA_X + 1j * SIGMA_Z)
