@@ -119,28 +119,19 @@ def _with_config(argv: list, args: argparse.Namespace) -> list:
     return argv[:at] + flags + argv[at:]
 
 
-def _params(args) -> PtParams:
-    return PtParams(j=args.j, gamma=args.gamma)
-
-
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    # rows hold str, int and float (np.float64 included) values
+    return format(float(value), ".12g") if isinstance(value, float) else str(value)
 
 
-def _emit(columns, rows, args, parameters, status: int = 0) -> int:
+def _emit(columns, rows, args, parameters) -> None:
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "parameters": parameters,
             "columns": list(columns),
-            "rows": [[(v if isinstance(v, str) else _json_number(v)) for v in row] for row in rows],
+            "rows": rows,  # json writes an np.float64 through float.__repr__
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -158,19 +149,9 @@ def _emit(columns, rows, args, parameters, status: int = 0) -> int:
             raise ParameterError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-    return status
 
 
-def _json_number(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _cmd_evolve(args) -> int:
-    params = _params(args)
+def _cmd_evolve(args, params):
     traj = trajectory(minus_y(), params, parse_grid(args.grid))
     columns = [
         "tau",
@@ -186,76 +167,61 @@ def _cmd_evolve(args) -> int:
     # viewed as floats, each (a1, a2) row reads re_a1, im_a1, re_a2, im_a2
     amplitudes = traj.states.view(float)
     rows = np.column_stack([traj.times, amplitudes, traj.bloch, traj.distance]).tolist()
-    return _emit(columns, rows, args, {"j": params.j, "gamma": params.gamma}, 0)
+    return columns, rows, {"j": params.j, "gamma": params.gamma}
 
 
-def _cmd_distance(args) -> int:
-    params = _params(args)
+def _cmd_distance(args, params):
     traj = trajectory(minus_y(), params, parse_grid(args.grid))
     speeds = speed_profile(traj) if len(traj) >= 2 else np.zeros(1)
     rows = np.column_stack([traj.times, traj.distance, speeds]).tolist()
-    return _emit(["tau", "distance", "speed"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
+    return ["tau", "distance", "speed"], rows, {"j": params.j, "gamma": params.gamma}
+
+
+_CORRELATOR_COLUMNS = ["T", "C12", "C23", "C13", "K3"]
 
 
 def _correlator_rows(cs):
     return np.column_stack([cs.t, cs.c12, cs.c23, cs.c13, cs.k3]).tolist()
 
 
-def _cmd_correlators(args) -> int:
-    params = _params(args)
-    cs = correlators(args.t, params)
-    return _emit(
-        ["T", "C12", "C23", "C13", "K3"],
-        _correlator_rows(cs),
-        args,
-        {"j": params.j, "gamma": params.gamma, "t": args.t},
-        0,
-    )
+def _cmd_correlators(args, params):
+    rows = _correlator_rows(correlators(args.t, params))
+    return _CORRELATOR_COLUMNS, rows, {"j": params.j, "gamma": params.gamma, "t": args.t}
 
 
-def _cmd_k3(args) -> int:
-    params = _params(args)
+def _cmd_k3(args, params):
     rows = _correlator_rows(correlators(parse_grid(args.grid), params))
-    return _emit(["T", "C12", "C23", "C13", "K3"], rows, args, {"j": params.j, "gamma": params.gamma}, 0)
+    return _CORRELATOR_COLUMNS, rows, {"j": params.j, "gamma": params.gamma}
 
 
-def _cmd_k3max(args) -> int:
-    j = args.j
-    pts_range = WIDE_PTS_RANGE if args.wide else (0.0, args.t_hi)
-    ptb_range = (0.0, args.ptb_t_hi)
+def _cmd_k3max(args, params):
+    search = dict(
+        j=params.j,
+        pts_range=WIDE_PTS_RANGE if args.wide else (0.0, args.t_hi),
+        ptb_range=(0.0, args.ptb_t_hi),
+        tol=args.tol,
+    )
     if args.ep_report:
         eps = args.ep_eps
-        report = ep_discontinuity(
-            eps=eps, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol
-        )
+        report = ep_discontinuity(eps, **search)
         rows = [[eps, report.left_limit, report.right_value, report.jump]]
-        return _emit(
-            ["eps", "left_limit", "right_value", "jump"],
-            rows,
-            args,
-            {"j": j, "eps": eps},
-            0,
-        )
-    points = sweep_gamma(
-        parse_grid(args.grid), j=j, pts_range=pts_range, ptb_range=ptb_range, tol=args.tol
-    )
+        return ["eps", "left_limit", "right_value", "jump"], rows, {"j": params.j, "eps": eps}
+    points = sweep_gamma(parse_grid(args.grid), **search)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
-    return _emit(["gamma_over_j", "regime", "t_star", "k3_max"], rows, args, {"j": j}, 0)
+    return ["gamma_over_j", "regime", "t_star", "k3_max"], rows, {"j": params.j}
 
 
-def _cmd_witness(args) -> int:
-    params = _params(args)  # validates --j and --gamma before any ratio is scaled
+def _cmd_witness(args, params):
     j = params.j
     ratios = [params.ratio] if args.grid is None else parse_grid(args.grid)
     rows = []
     for ratio in np.asarray(ratios, dtype=float):
         result = quantum_witness(PtParams(j=j, gamma=ratio * j))
         rows.append([ratio, result.p_without, result.p_with, result.w])
-    return _emit(["gamma_over_j", "p_without", "p_with", "witness"], rows, args, {"j": j}, 0)
+    return ["gamma_over_j", "p_without", "p_with", "witness"], rows, {"j": j}
 
 
-def _cmd_montecarlo(args) -> int:
-    params = _params(args)
+def _cmd_montecarlo(args, params):
     config = ShotConfig(shots=args.shots, seed=args.seed, mode=args.mode, bootstrap=args.bootstrap)
     if args.quantity == "conditional":
         record = sample_conditional(args.qin, args.tau, params, config)
@@ -273,39 +239,31 @@ def _cmd_montecarlo(args) -> int:
             record.success_rate,
         ]
     ]
-    return _emit(
-        ["quantity", "estimate", "stderr", "accepted", "attempted", "success_rate"],
-        rows,
-        args,
-        {
-            "j": params.j,
-            "gamma": params.gamma,
-            "shots": config.shots,
-            "seed": config.seed,
-            "mode": config.mode,
-        },
-        0,
-    )
+    parameters = {
+        "j": params.j,
+        "gamma": params.gamma,
+        "shots": config.shots,
+        "seed": config.seed,
+        "mode": config.mode,
+    }
+    columns = ["quantity", "estimate", "stderr", "accepted", "attempted", "success_rate"]
+    return columns, rows, parameters
 
 
-def _cmd_dilation_check(args) -> int:
-    params = _params(args)
+def _cmd_dilation_check(args, params):
     report = dilation_report(params, args.tau)
     passed = all(
         report[name] < tolerance for name, tolerance in CHECK_TOLERANCES.items()
     ) and report["fidelity_vs_direct"] >= CHECK_MIN_FIDELITY
     rows = [[name, value] for name, value in report.items()]
     rows.append(["passed", int(passed)])
-    status = 0 if passed else 3
-    return _emit(
-        ["metric", "value"],
-        rows,
-        args,
-        {"j": params.j, "gamma": params.gamma, "tau": args.tau},
-        status,
-    )
+    parameters = {"j": params.j, "gamma": params.gamma, "tau": args.tau}
+    return ["metric", "value"], rows, parameters, 0 if passed else 3
 
 
+# Each handler takes the parsed flags and the rates main resolved, and returns
+# (columns, rows, parameters) for main to emit; dilation-check also returns
+# its exit status.
 _HANDLERS = {
     "evolve": _cmd_evolve,
     "distance": _cmd_distance,
@@ -400,7 +358,10 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             args = parser.parse_args(_with_config(argv, args))
-        return _HANDLERS[args.command](args)
+        params = PtParams(j=args.j, gamma=args.gamma)
+        columns, rows, parameters, *status = _HANDLERS[args.command](args, params)
+        _emit(columns, rows, args, parameters)
+        return status[0] if status else 0
     except (ParameterError, RegimeError) as exc:
         print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -103,6 +103,19 @@ def k3_gradient(a1, c, a2, b, a3):
     return (-2.0, 2.0, 2.0 * b + 2.0 * a3 - 2.0, 2.0 * a2, -2.0 * (1.0 - a2))
 
 
+def assemble_witness(p0, p_without, q_plus, q_minus):
+    """(p_with, W) from the four probabilities of reading +1 in the witness protocol.
+
+    p0 is the chance of +1 at the time-zero measurement, p_without the readout
+    without it, and q_plus, q_minus the readouts after each collapse branch:
+    p_with = p0 q_plus + (1 - p0) q_minus and W = |p_with - p_without|.
+    Shared by the exact witness and the finite-shot estimate; works
+    elementwise on arrays.
+    """
+    p_with = p0 * q_plus + (1.0 - p0) * q_minus
+    return p_with, abs(p_with - p_without)
+
+
 def correlators(t_interval, params: PtParams) -> CorrelatorSet:
     """Correlator set at measurement intervals T (scaled units).
 
@@ -149,8 +162,10 @@ def quantum_witness(params: PtParams, tau: float = math.pi / 4.0) -> WitnessResu
     evolved = evolve_state_scaled(psi0, params, tau)
     p_without = plus_y().fidelity(evolved)
 
-    p_plus_at_zero = plus_y().fidelity(psi0)
-    p_with = p_plus_at_zero * conditional_prob(+1, +1, tau, params) + (
-        1.0 - p_plus_at_zero
-    ) * conditional_prob(+1, -1, tau, params)
-    return WitnessResult(p_with=p_with, p_without=p_without, w=abs(p_with - p_without))
+    p_with, w = assemble_witness(
+        plus_y().fidelity(psi0),
+        p_without,
+        conditional_prob(+1, +1, tau, params),
+        conditional_prob(+1, -1, tau, params),
+    )
+    return WitnessResult(p_with=p_with, p_without=p_without, w=w)

@@ -107,20 +107,20 @@ def pt_via_dilation(psi0: PureState, params: PtParams, tau: float) -> tuple[Pure
     return postselect(dilation_unitary(params, tau) @ embed_initial(psi0, params))
 
 
-def dilation_report(params: PtParams, tau: float, psi0: PureState | None = None) -> dict:
+def dilation_report(params: PtParams, tau: float) -> dict:
     """Self-check residuals of the dilation construction at one (params, tau).
 
     Keys: unitarity_residual, intertwining_residual, block_identity_residual
-    (max-abs entries), fidelity_vs_direct, success_prob.
+    (max-abs entries), fidelity_vs_direct and success_prob (both for the
+    protocol's preparation |->_y).
     """
-    if psi0 is None:
-        psi0 = minus_y()
     u = dilation_unitary(params, tau)
     eta = metric_operator(params)
     h = hamiltonian(params)
     unitarity = np.max(np.abs(u.conj().T @ u - np.eye(4)))
     intertwining = np.max(np.abs(eta @ h - h.conj().T @ eta))
     block_identity = np.max(np.abs(u[:2, :2] + u[:2, 2:] @ eta - propagator_scaled(params, tau)))
+    psi0 = minus_y()
     selected, success = pt_via_dilation(psi0, params, tau)
     direct = evolve_state_scaled(psi0, params, tau)
     return {

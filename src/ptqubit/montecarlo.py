@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _eigenstate, assemble_k3, k3_gradient, witness_initial_state
+from .correlations import (
+    _eigenstate,
+    assemble_k3,
+    assemble_witness,
+    k3_gradient,
+    witness_initial_state,
+)
 from .dilation import pt_via_dilation
 from .errors import NoStatisticsError, ParameterError
 from .pt_dynamics import PtParams, evolve_state_scaled
@@ -194,9 +200,6 @@ def witness_sampled(
     from_plus = _draw(_eigenstate(+1), tau, n_plus, "witness:from+", params, config)
     from_minus = _draw(_eigenstate(-1), tau, shots - n_plus, "witness:from-", params, config)
 
-    def statistic(p0, p_without, q_plus, q_minus):
-        return abs(p0 * q_plus + (1.0 - p0) * q_minus - p_without)
-
     slots = {"first": first, "direct": direct, "from+": from_plus, "from-": from_minus}
     p0, q_plus, q_minus = first[1], from_plus[1], from_minus[1]
     # p_with's terms, then p_without's: this summation order keeps every
@@ -207,6 +210,8 @@ def witness_sampled(
     return ShotRecord(
         accepted=direct[0] + from_plus[0] + from_minus[0],
         attempted=2 * shots,
-        estimate=statistic(p0, direct[1], q_plus, q_minus),
-        stderr=_stderr(slots, statistic, gradient, config, ("witness:bootstrap", 0)),
+        estimate=assemble_witness(p0, direct[1], q_plus, q_minus)[1],
+        stderr=_stderr(
+            slots, lambda *p: assemble_witness(*p)[1], gradient, config, ("witness:bootstrap", 0)
+        ),
     )

@@ -108,6 +108,11 @@ def max_k3_over_T(
     return t_best, v_best
 
 
+def _touches_ep(ratios: np.ndarray) -> bool:
+    # The one test of the exceptional-point band |gamma/j - 1| <= EP_THRESHOLD.
+    return bool(np.any(np.abs(ratios - 1.0) <= EP_THRESHOLD))
+
+
 def sweep_gamma(
     ratio_grid,
     *,
@@ -125,7 +130,7 @@ def sweep_gamma(
     ptb_range (w*t) above.
     """
     ratios = np.asarray(ratio_grid, dtype=float)
-    if np.any(np.abs(ratios - 1.0) <= EP_THRESHOLD):
+    if _touches_ep(ratios):
         raise ParameterError(
             "the gamma/j grid touches the exceptional point 1, where the optimum is "
             "discontinuous; choose a grid that avoids gamma/j = 1, or use --ep-report "
@@ -133,14 +138,14 @@ def sweep_gamma(
         )
     PtParams(j=j)  # validates j before any ratio scales it
     points = []
-    for ratio in ratios:
+    for ratio in ratios.tolist():  # Python floats: scalar math on np.float64 is slower
         if ratio < 0.0:
             raise ParameterError(f"gamma/j must be >= 0, got {ratio}")
         params = PtParams(j=j, gamma=ratio * j)
         t_range = ptb_range if params.regime is Regime.PTB else pts_range
         t_star, k3_max = max_k3_over_T(params, t_range, tol)
         points.append(
-            SweepPoint(gamma_over_j=float(ratio), regime=params.regime, t_star=t_star, k3_max=k3_max)
+            SweepPoint(gamma_over_j=ratio, regime=params.regime, t_star=t_star, k3_max=k3_max)
         )
     return points
 
@@ -167,28 +172,25 @@ def ep_discontinuity(
 ) -> EpDiscontinuity:
     """Limits of max K3 as gamma/j approaches 1 from both sides.
 
-    Evaluates the optimizer at gamma/j = 1 -+ eps over the geometric sequence
-    (eps, eps/10, eps/100) and extrapolates each side to the symmetry point.
+    Sweeps the six ratios gamma/j = 1 -+ eps over the geometric sequence
+    (eps, eps/10, eps/100) and extrapolates each side to the symmetry point;
+    an eps whose ratios round into the exceptional-point band is rejected.
     The jump is reported as a number, with no sign asserted a priori.
     """
     if not (0.0 < eps <= 0.1):
         raise ParameterError(f"eps must lie in (0, 0.1], got {eps}")
     eps_sequence = (eps, eps / 10.0, eps / 100.0)
-    if eps_sequence[-1] <= EP_THRESHOLD:
+    offsets = np.array(eps_sequence)
+    ratios = np.concatenate([1.0 - offsets, 1.0 + offsets])
+    if _touches_ep(ratios):
         raise ParameterError(
             f"eps = {eps} puts gamma/j = 1 -+ eps/100 inside the exceptional-point band "
-            f"|gamma/j - 1| <= {EP_THRESHOLD}; choose eps > {100.0 * EP_THRESHOLD:g}"
+            f"|gamma/j - 1| <= {EP_THRESHOLD}; choose a larger eps"
         )
-
-    def k3_max_at(ratio: float) -> float:
-        params = PtParams(j=j, gamma=ratio * j)
-        t_range = ptb_range if params.regime is Regime.PTB else pts_range
-        return max_k3_over_T(params, t_range, tol)[1]
-
-    left = [k3_max_at(1.0 - e) for e in eps_sequence]
-    right = [k3_max_at(1.0 + e) for e in eps_sequence]
-    left_limit = _richardson_limit(left, eps_sequence)
-    right_value = _richardson_limit(right, eps_sequence)
+    points = sweep_gamma(ratios, j=j, pts_range=pts_range, ptb_range=ptb_range, tol=tol)
+    k3 = [p.k3_max for p in points]
+    left_limit = _richardson_limit(k3[:3], eps_sequence)
+    right_value = _richardson_limit(k3[3:], eps_sequence)
     return EpDiscontinuity(
         left_limit=left_limit,
         right_value=right_value,

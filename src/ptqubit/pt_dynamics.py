@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,6 +48,13 @@ EP_THRESHOLD = 1e-9
 #: Rates lie within [1/RATE_LIMIT, RATE_LIMIT] (gamma may also be 0), so that
 #: j^2 - gamma^2 neither overflows nor underflows to zero.
 RATE_LIMIT = 1e150
+
+#: One ulp below the largest double: tau <= rate * _TIME_LIMIT keeps tau / rate
+#: finite for any rate < 1, the rounding of the product included.
+_TIME_LIMIT = math.nextafter(sys.float_info.max, 0.0)
+
+#: Largest number of fixed steps of the nonlinear-flow integrator.
+MAX_RK4_STEPS = 10**6
 
 
 class Regime(str, enum.Enum):
@@ -112,12 +120,18 @@ class PtParams:
     def time_from_scaled(self, tau):
         """Raw times for scaled times: tau = Omega t (PTS), j t (EP), w t (PTB).
 
-        Accepts a scalar or an array; rejects negative or non-finite entries.
+        Accepts a scalar or an array; rejects negative or non-finite entries,
+        and scaled times whose raw time leaves the double range.
         """
         tau = _as_times(tau)
-        if self.regime is Regime.EP:
-            return tau / self.j
-        return tau / self.omega
+        rate = self.j if self.regime is Regime.EP else self.omega
+        if rate < 1.0:  # tau / rate can overflow only for a rate below 1
+            over = tau > rate * _TIME_LIMIT
+            if over.any() if over.ndim else over:
+                raise ParameterError(
+                    f"scaled time {np.max(tau)} over rate {rate} leaves the double range"
+                )
+        return tau / rate
 
 
 @dataclass(frozen=True)
@@ -229,14 +243,17 @@ def evolve_density_nonlinear(
     used, with the step shrunk (never grown) so the horizon t is hit exactly.
     Both t and dt are raw time; dt defaults to 1e-3 scaled-time units.  No
     per-step renormalization is applied, so trace drift is a direct measure
-    of integration error.
+    of integration error.  A horizon needing more than MAX_RK4_STEPS steps
+    is rejected.
     """
+    t = float(_as_times(t))
     if dt is None:
         dt = params.time_from_scaled(1e-3)
-    if dt <= 0.0:
-        raise ParameterError(f"step dt must be positive, got {dt}")
-    if t < 0.0:
-        raise ParameterError(f"horizon t must be >= 0, got {t}")
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"step dt must be finite and positive, got {dt}")
+    # compared before dividing, so t / dt cannot overflow
+    if t / MAX_RK4_STEPS > dt:
+        raise ParameterError(f"horizon {t} needs more than {MAX_RK4_STEPS} steps of {dt}")
     rho = np.array(rho0.matrix, dtype=complex)
     if t == 0.0:
         return DensityMatrix(rho)

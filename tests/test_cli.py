@@ -131,6 +131,24 @@ class TestEvolve:
         assert err.startswith(f"ptqubit k3: cannot write {target}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlators", "--j", "1e-10", "--t", "1e300"],
+        ["evolve", "--j", "1e-150", "--grid", "0:1e300:3"],
+        ["montecarlo", "--j", "1e-150", "--tau", "1e300", "--quantity", "conditional"],
+    ],
+)
+def test_raw_time_overflow_is_parameter_error(capsys, argv):
+    # a small rate turns a finite scaled time into a raw time beyond the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert "leaves the double range" in err
+
+
 class TestDistance:
     def test_speed_column_constant_without_gain(self, capsys):
         status, out, _ = run_cli(
@@ -211,6 +229,8 @@ class TestK3Max:
             ["--grid", "0.5:0.5:1", "--tol", "nan"],  # NaN passed a `tol <= 0` check
             ["--grid", "1.5:1.5:1", "--ptb-t-hi", "inf"],  # reached np.linspace(0, inf)
             ["--grid", "0:0:1", "--j", "inf"],  # 0 * inf before j was checked
+            ["--grid", "0.5:0.5:1", "--gamma", "-1"],  # --gamma was accepted unchecked
+            ["--ep-report", "--gamma", "nan"],
         ],
     )
     def test_non_finite_search_inputs_are_parameter_errors(self, capsys, flags):
@@ -228,6 +248,8 @@ class TestK3Max:
             (["--grid", "0.5:0.5:1", "--tol", "1e-30"], 0),  # tol below the bracket's ulp
             (["--grid", "0.5:0.5:1", "--t-hi", "1e300"], 0),  # ulp of the bracket above tol
             (["--ep-report", "--ep-eps", "1e-300"], 2),  # eps/100 inside the EP band
+            # eps/100 > 1e-9, but 1 - eps/100 rounds into the band
+            (["--ep-report", "--ep-eps", "1.0000000000000002e-07"], 2),
         ],
     )
     def test_optimizer_edge_cases_end_in_time(self, flags, status):

@@ -65,6 +65,21 @@ class TestPtParams:
             rate = params.j if gamma == 1.0 else np.sqrt(abs(params.j**2 - gamma**2))
             assert params.time_from_scaled(0.83) * rate == pytest.approx(0.83, abs=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "j,gamma", [(1e-10, 0.0), (0.5, 0.0), (1e-150, 1e-150), (1.0, 0.6), (1e-100, 3e-100)]
+    )
+    def test_raw_time_beyond_double_range(self, j, gamma):
+        # tau / rate overflows once tau exceeds rate * max double; the largest
+        # accepted tau still divides to a finite raw time
+        params = PtParams(j=j, gamma=gamma)
+        rate = params.j if params.regime is Regime.EP else params.omega
+        limit = rate * np.nextafter(np.finfo(float).max, 0.0)
+        assert np.isfinite(params.time_from_scaled(limit))
+        for tau in (np.nextafter(limit, np.inf), np.array([0.0, 1.0, 1.7e308])):
+            with pytest.raises(ParameterError, match="double range"):
+                params.time_from_scaled(tau)
+
 
 class TestHamiltonian:
     def test_hermitian_limit(self):
@@ -191,12 +206,19 @@ class TestNonlinearFlow:
         out = evolve_density_nonlinear(rho0, PtParams(gamma=0.9), 0.0)
         np.testing.assert_array_equal(out.matrix, rho0.matrix)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parameter_validation(self):
         rho0 = minus_y().density()
         with pytest.raises(ParameterError):
             evolve_density_nonlinear(rho0, PtParams(), 1.0, dt=0.0)
         with pytest.raises(ParameterError):
             evolve_density_nonlinear(rho0, PtParams(), -1.0, dt=1e-3)
+        # non-finite horizons and steps, and horizons beyond MAX_RK4_STEPS
+        # steps (1e7 steps; 1e308 / 1e-300 overflows the step count itself)
+        for t, dt in [(np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.nan), (1.0, np.inf),
+                      (1.0, 1e-7), (1e308, 1e-300), (np.inf, None)]:
+            with pytest.raises(ParameterError):
+                evolve_density_nonlinear(rho0, PtParams(), t, dt=dt)
 
     def test_hermitian_flip(self):
         params = PtParams(gamma=0.0)
