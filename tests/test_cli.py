@@ -496,6 +496,46 @@ class TestOutputFormats:
         assert excinfo.value.code == 2
 
 
+# The JSON `parameters` object of every subcommand, keys in order, with default
+# and with non-default flags; a frozen literal, part of the document format.
+@pytest.mark.parametrize(
+    "argv,parameters",
+    [
+        (["evolve"], [("j", 1.0), ("gamma", 0.0)]),
+        (["evolve", "--j", "2", "--gamma", "0.5", "--grid", "0:1:3"], [("j", 2.0), ("gamma", 0.5)]),
+        (["distance"], [("j", 1.0), ("gamma", 0.0)]),
+        (["distance", "--j", "0.5", "--gamma", "0.25", "--grid", "0:1:3"],
+         [("j", 0.5), ("gamma", 0.25)]),
+        (["correlators"], [("j", 1.0), ("gamma", 0.0), ("t", 0.5235987755982988)]),
+        (["correlators", "--j", "3", "--gamma", "1.5", "--t", "0.25"],
+         [("j", 3.0), ("gamma", 1.5), ("t", 0.25)]),
+        (["k3"], [("j", 1.0), ("gamma", 0.0)]),
+        (["k3", "--j", "2", "--gamma", "1", "--grid", "0:0.5:3"], [("j", 2.0), ("gamma", 1.0)]),
+        (["k3max"], [("j", 1.0)]),
+        (["k3max", "--j", "2", "--gamma", "7", "--grid", "0.25:0.5:2", "--wide", "--tol", "1e-6"],
+         [("j", 2.0)]),
+        (["k3max", "--ep-report"], [("j", 1.0), ("eps", 0.01)]),
+        (["k3max", "--ep-report", "--j", "2", "--ep-eps", "0.05"], [("j", 2.0), ("eps", 0.05)]),
+        (["witness"], [("j", 1.0)]),
+        (["witness", "--j", "2", "--gamma", "1", "--grid", "0:0.5:3"], [("j", 2.0)]),
+        (["montecarlo"],
+         [("j", 1.0), ("gamma", 0.0), ("shots", 10000), ("seed", 0), ("mode", "ideal")]),
+        (["montecarlo", "--j", "2", "--gamma", "1", "--quantity", "conditional", "--qin", "1",
+          "--tau", "0.5", "--shots", "50", "--seed", "9", "--mode", "dilated", "--bootstrap"],
+         [("j", 2.0), ("gamma", 1.0), ("shots", 50), ("seed", 9), ("mode", "dilated")]),
+        (["dilation-check"], [("j", 1.0), ("gamma", 0.0), ("tau", 0.7853981633974483)]),
+        (["dilation-check", "--j", "2", "--gamma", "1", "--tau", "0.5"],
+         [("j", 2.0), ("gamma", 1.0), ("tau", 0.5)]),
+    ],
+)
+def test_json_parameters_are_frozen(capsys, argv, parameters):
+    status, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert list(doc["parameters"].items()) == parameters
+
+
 # Every subcommand's flags with generated values, from finite ones to the edges
 # (negative, zero, tiny, huge and non-finite), split between the command line
 # and a config file: whatever the input, main() ends in 0, 2 or 3 and never
