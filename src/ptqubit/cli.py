@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -49,9 +50,6 @@ CHECK_MIN_FIDELITY = 1.0 - 1e-10
 
 #: Config-file spellings of the two states of a switch such as --wide.
 _SWITCH_VALUES = {"1": True, "true": True, "0": False, "false": False}
-
-# 50 intervals per quarter-period flip; a rendering choice, not physics.
-_TRAJECTORY_GRID = f"0:{math.pi / 2}:51"
 
 #: Largest number of points in a lo:hi:n grid.
 MAX_GRID_POINTS = 10**6
@@ -167,14 +165,14 @@ def _cmd_evolve(args, params):
     # viewed as floats, each (a1, a2) row reads re_a1, im_a1, re_a2, im_a2
     amplitudes = traj.states.view(float)
     rows = np.column_stack([traj.times, amplitudes, traj.bloch, traj.distance]).tolist()
-    return columns, rows, {"j": params.j, "gamma": params.gamma}
+    return columns, rows
 
 
 def _cmd_distance(args, params):
     traj = trajectory(minus_y(), params, parse_grid(args.grid))
     speeds = speed_profile(traj) if len(traj) >= 2 else np.zeros(1)
     rows = np.column_stack([traj.times, traj.distance, speeds]).tolist()
-    return ["tau", "distance", "speed"], rows, {"j": params.j, "gamma": params.gamma}
+    return ["tau", "distance", "speed"], rows
 
 
 _CORRELATOR_COLUMNS = ["T", "C12", "C23", "C13", "K3"]
@@ -185,13 +183,11 @@ def _correlator_rows(cs):
 
 
 def _cmd_correlators(args, params):
-    rows = _correlator_rows(correlators(args.t, params))
-    return _CORRELATOR_COLUMNS, rows, {"j": params.j, "gamma": params.gamma, "t": args.t}
+    return _CORRELATOR_COLUMNS, _correlator_rows(correlators(args.t, params))
 
 
 def _cmd_k3(args, params):
-    rows = _correlator_rows(correlators(parse_grid(args.grid), params))
-    return _CORRELATOR_COLUMNS, rows, {"j": params.j, "gamma": params.gamma}
+    return _CORRELATOR_COLUMNS, _correlator_rows(correlators(parse_grid(args.grid), params))
 
 
 def _cmd_k3max(args, params):
@@ -202,13 +198,12 @@ def _cmd_k3max(args, params):
         tol=args.tol,
     )
     if args.ep_report:
-        eps = args.ep_eps
-        report = ep_discontinuity(eps, **search)
-        rows = [[eps, report.left_limit, report.right_value, report.jump]]
-        return ["eps", "left_limit", "right_value", "jump"], rows, {"j": params.j, "eps": eps}
+        report = ep_discontinuity(args.ep_eps, **search)
+        rows = [[args.ep_eps, report.left_limit, report.right_value, report.jump]]
+        return ["eps", "left_limit", "right_value", "jump"], rows
     points = sweep_gamma(parse_grid(args.grid), **search)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
-    return ["gamma_over_j", "regime", "t_star", "k3_max"], rows, {"j": params.j}
+    return ["gamma_over_j", "regime", "t_star", "k3_max"], rows
 
 
 def _cmd_witness(args, params):
@@ -218,10 +213,26 @@ def _cmd_witness(args, params):
     for ratio in np.asarray(ratios, dtype=float):
         result = quantum_witness(PtParams(j=j, gamma=ratio * j))
         rows.append([ratio, result.p_without, result.p_with, result.w])
-    return ["gamma_over_j", "p_without", "p_with", "witness"], rows, {"j": j}
+    return ["gamma_over_j", "p_without", "p_with", "witness"], rows
+
+
+#: The flags each montecarlo quantity reads, with their defaults.  On the
+#: command line all three default to None, so that an explicit value of a flag
+#: the quantity does not read is told apart from an absent one and rejected.
+_QUANTITY_FLAGS = {
+    "conditional": {"qin": -1, "tau": math.pi / 4.0},
+    "k3": {"t": math.pi / 6.0},
+    "witness": {"tau": math.pi / 4.0},
+}
 
 
 def _cmd_montecarlo(args, params):
+    reads = _QUANTITY_FLAGS[args.quantity]
+    for name in ("qin", "tau", "t"):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            raise ParameterError(f"--{name} is not read by --quantity {args.quantity}")
     config = ShotConfig(shots=args.shots, seed=args.seed, mode=args.mode, bootstrap=args.bootstrap)
     if args.quantity == "conditional":
         record = sample_conditional(args.qin, args.tau, params, config)
@@ -239,15 +250,7 @@ def _cmd_montecarlo(args, params):
             record.success_rate,
         ]
     ]
-    parameters = {
-        "j": params.j,
-        "gamma": params.gamma,
-        "shots": config.shots,
-        "seed": config.seed,
-        "mode": config.mode,
-    }
-    columns = ["quantity", "estimate", "stderr", "accepted", "attempted", "success_rate"]
-    return columns, rows, parameters
+    return ["quantity", "estimate", "stderr", "accepted", "attempted", "success_rate"], rows
 
 
 def _cmd_dilation_check(args, params):
@@ -257,32 +260,76 @@ def _cmd_dilation_check(args, params):
     ) and report["fidelity_vs_direct"] >= CHECK_MIN_FIDELITY
     rows = [[name, value] for name, value in report.items()]
     rows.append(["passed", int(passed)])
-    parameters = {"j": params.j, "gamma": params.gamma, "tau": args.tau}
-    return ["metric", "value"], rows, parameters, 0 if passed else 3
+    return ["metric", "value"], rows, 0 if passed else 3
 
 
-# Each handler takes the parsed flags and the rates main resolved, and returns
-# (columns, rows, parameters) for main to emit; dilation-check also returns
-# its exit status.
-_HANDLERS = {
-    "evolve": _cmd_evolve,
-    "distance": _cmd_distance,
-    "correlators": _cmd_correlators,
-    "k3": _cmd_k3,
-    "k3max": _cmd_k3max,
-    "witness": _cmd_witness,
-    "montecarlo": _cmd_montecarlo,
-    "dilation-check": _cmd_dilation_check,
+# One subcommand: its --help line; its own flags, each mapped to its add_argument
+# keywords in --help order; the handler, which takes the parsed flags and the
+# rates main resolved and returns (columns, rows), plus the exit status for
+# dilation-check; and the parsed flags that the JSON parameters object holds.
+_Command = namedtuple("_Command", ["help", "flags", "handler", "parameters"])
+
+#: Flags every subcommand takes after its own.
+_COMMON_FLAGS = {
+    "--j": dict(type=float, default=1.0, help="coupling rate (default 1)"),
+    "--gamma": dict(type=float, default=0.0, help="gain/loss rate (default 0)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(default=None, help="write output to a file instead of stdout"),
+    "--config": dict(default=None,
+                     help="flat key=value file of this command's flags; flags override it"),
 }
 
+# 50 intervals per quarter-period flip; a rendering choice, not physics.
+_TRAJECTORY_FLAGS = {
+    "--grid": dict(default=f"0:{math.pi / 2}:51", help="tau grid lo:hi:n (default 0:pi/2:51)"),
+}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--j", type=float, default=1.0, help="coupling rate (default 1)")
-    sub.add_argument("--gamma", type=float, default=0.0, help="gain/loss rate (default 0)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--config", default=None,
-                     help="flat key=value file of this command's flags; flags override it")
+_COMMANDS = {
+    "evolve": _Command("state, Bloch vector, and distance along a tau grid",
+                       _TRAJECTORY_FLAGS, _cmd_evolve, ("j", "gamma")),
+    "distance": _Command("distance from start and evolution speed vs tau",
+                         _TRAJECTORY_FLAGS, _cmd_distance, ("j", "gamma")),
+    "correlators": _Command("correlator set at a single interval T", {
+        "--t": dict(type=float, default=math.pi / 6.0,
+                    help="measurement interval T (scaled, default pi/6)"),
+    }, _cmd_correlators, ("j", "gamma", "t")),
+    "k3": _Command("correlator curve over an interval grid", {
+        "--grid": dict(default=f"0:{math.pi / 4}:51",
+                       help="interval grid lo:hi:n (default 0:pi/4:51)"),
+    }, _cmd_k3, ("j", "gamma")),
+    # with --ep-report, main adds "eps" (the value of --ep-eps) to the parameters
+    "k3max": _Command("optimal K3 swept over gamma/j ratios", {
+        "--grid": dict(default="0:0.95:20", help="gamma/j grid lo:hi:n (default 0:0.95:20)"),
+        "--t-hi": dict(type=float, default=DEFAULT_PTS_RANGE[1],
+                       help="upper interval bound below the break (default pi/4)"),
+        "--wide": dict(action="store_true", help="widen the interval search to [0, pi/2]"),
+        "--ptb-t-hi": dict(type=float, default=DEFAULT_PTB_RANGE[1],
+                           help="upper w*t bound above the break (default 10)"),
+        "--tol": dict(type=float, default=1e-8, help="refinement tolerance (default 1e-8)"),
+        "--ep-report": dict(action="store_true",
+                            help="emit left limit, right value, and jump at gamma/j = 1 instead"),
+        "--ep-eps": dict(type=float, default=1e-2,
+                         help="largest offset of the extrapolation sequence (default 1e-2)"),
+    }, _cmd_k3max, ("j",)),
+    "witness": _Command("quantum witness at one ratio or over a ratio grid", {
+        "--grid": dict(default=None, help="gamma/j grid lo:hi:n (optional)"),
+    }, _cmd_witness, ("j",)),
+    "montecarlo": _Command("finite-shot estimates with standard errors", {
+        "--quantity": dict(choices=tuple(_QUANTITY_FLAGS), default="k3"),
+        "--qin": dict(type=int, choices=(-1, 1), default=None,
+                      help="preparation outcome for quantity=conditional (default -1)"),
+        "--tau": dict(type=float, default=None, help="evolution time (scaled, default pi/4)"),
+        "--t": dict(type=float, default=None, help="interval T for quantity=k3 (default pi/6)"),
+        "--shots": dict(type=int, default=10000, help="attempted preparations (default 10000)"),
+        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--mode": dict(choices=("ideal", "dilated"), default="ideal"),
+        "--bootstrap": dict(action="store_true",
+                            help="bootstrap error bars (1000 resamples) instead of propagation"),
+    }, _cmd_montecarlo, ("j", "gamma", "shots", "seed", "mode")),
+    "dilation-check": _Command("dilation residuals and success probability", {
+        "--tau": dict(type=float, default=math.pi / 4.0, help="scaled time (default pi/4)"),
+    }, _cmd_dilation_check, ("j", "gamma", "tau")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,82 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("evolve", help="state, Bloch vector, and distance along a tau grid")
-    sub.add_argument("--grid", default=_TRAJECTORY_GRID, help="tau grid lo:hi:n (default 0:pi/2:51)")
-    _add_common(sub)
-
-    sub = commands.add_parser("distance", help="distance from start and evolution speed vs tau")
-    sub.add_argument("--grid", default=_TRAJECTORY_GRID, help="tau grid lo:hi:n (default 0:pi/2:51)")
-    _add_common(sub)
-
-    sub = commands.add_parser("correlators", help="correlator set at a single interval T")
-    sub.add_argument("--t", type=float, default=math.pi / 6.0,
-                     help="measurement interval T (scaled, default pi/6)")
-    _add_common(sub)
-
-    sub = commands.add_parser("k3", help="correlator curve over an interval grid")
-    sub.add_argument("--grid", default=f"0:{math.pi / 4}:51",
-                     help="interval grid lo:hi:n (default 0:pi/4:51)")
-    _add_common(sub)
-
-    sub = commands.add_parser("k3max", help="optimal K3 swept over gamma/j ratios")
-    sub.add_argument("--grid", default="0:0.95:20", help="gamma/j grid lo:hi:n (default 0:0.95:20)")
-    sub.add_argument("--t-hi", type=float, default=DEFAULT_PTS_RANGE[1],
-                     help="upper interval bound below the break (default pi/4)")
-    sub.add_argument("--wide", action="store_true", help="widen the interval search to [0, pi/2]")
-    sub.add_argument("--ptb-t-hi", type=float, default=DEFAULT_PTB_RANGE[1],
-                     help="upper w*t bound above the break (default 10)")
-    sub.add_argument("--tol", type=float, default=1e-8, help="refinement tolerance (default 1e-8)")
-    sub.add_argument("--ep-report", action="store_true",
-                     help="emit left limit, right value, and jump at gamma/j = 1 instead")
-    sub.add_argument("--ep-eps", type=float, default=1e-2,
-                     help="largest offset of the extrapolation sequence (default 1e-2)")
-    _add_common(sub)
-
-    sub = commands.add_parser("witness", help="quantum witness at one ratio or over a ratio grid")
-    sub.add_argument("--grid", default=None, help="gamma/j grid lo:hi:n (optional)")
-    _add_common(sub)
-
-    sub = commands.add_parser("montecarlo", help="finite-shot estimates with standard errors")
-    sub.add_argument("--quantity", choices=("conditional", "k3", "witness"), default="k3")
-    sub.add_argument("--qin", type=int, choices=(-1, 1), default=-1,
-                     help="preparation outcome for quantity=conditional (default -1)")
-    sub.add_argument("--tau", type=float, default=math.pi / 4.0,
-                     help="evolution time (scaled, default pi/4)")
-    sub.add_argument("--t", type=float, default=math.pi / 6.0,
-                     help="interval T for quantity=k3 (default pi/6)")
-    sub.add_argument("--shots", type=int, default=10000, help="attempted preparations (default 10000)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--mode", choices=("ideal", "dilated"), default="ideal")
-    sub.add_argument("--bootstrap", action="store_true",
-                     help="bootstrap error bars (1000 resamples) instead of propagation")
-    _add_common(sub)
-
-    sub = commands.add_parser("dilation-check", help="dilation residuals and success probability")
-    sub.add_argument("--tau", type=float, default=math.pi / 4.0, help="scaled time (default pi/4)")
-    _add_common(sub)
-
+    for name, command in _COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        for flag, keywords in {**command.flags, **_COMMON_FLAGS}.items():
+            sub.add_argument(flag, **keywords)
     return parser
 
 
+# Built once: parse_args keeps no state between calls, and building the eight
+# subparsers costs more than most commands.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None:
-            args = parser.parse_args(_with_config(argv, args))
+            args = _PARSER.parse_args(_with_config(argv, args))
         params = PtParams(j=args.j, gamma=args.gamma)
-        columns, rows, parameters, *status = _HANDLERS[args.command](args, params)
+        command = _COMMANDS[args.command]
+        columns, rows, *status = command.handler(args, params)
+        parameters = {key: getattr(args, key) for key in command.parameters}
+        if args.command == "k3max" and args.ep_report:
+            parameters["eps"] = args.ep_eps
         _emit(columns, rows, args, parameters)
         return status[0] if status else 0
-    except (ParameterError, RegimeError) as exc:
-        print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
-        return 2
     except PtQubitError as exc:
         print(f"ptqubit {args.command}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParameterError, RegimeError)) else 3
 
 
 if __name__ == "__main__":

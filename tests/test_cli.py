@@ -356,6 +356,26 @@ class TestMonteCarlo:
         assert out == ""
         assert err.startswith("ptqubit montecarlo: ")
 
+    @pytest.mark.parametrize(
+        "flags,entries,message",
+        [
+            (["--j", "1e-150", "--tau", "1e300"], "", "--tau is not read by --quantity k3"),
+            (["--quantity", "conditional", "--t", "5"], "", "--t is not read by --quantity conditional"),
+            (["--quantity", "witness", "--qin", "1"], "", "--qin is not read by --quantity witness"),
+            (["--qua", "k3", "--ta", "3"], "", "--tau is not read by --quantity k3"),  # abbreviated
+            (["--quantity", "witness"], "t=0.5", "--t is not read by --quantity witness"),
+        ],
+    )
+    def test_unread_flags_are_parameter_errors(self, capsys, tmp_path, flags, entries, message):
+        if entries:
+            config = tmp_path / "run.conf"
+            config.write_text(entries + "\n")
+            flags = [*flags, "--config", str(config)]
+        status, out, err = run_cli(capsys, "montecarlo", *flags)
+        assert status == 2
+        assert out == ""
+        assert err == f"ptqubit montecarlo: {message}\n"
+
     def test_non_finite_time_in_dilated_mode_is_parameter_error(self, capsys):
         status, _, err = run_cli(
             capsys, "montecarlo", "--quantity", "conditional", "--mode", "dilated", "--tau", "nan"
@@ -457,6 +477,15 @@ class TestOutputFormats:
             capsys, "montecarlo", "--quantity", "conditional", "--shots", "70", "--bootstrap"
         )
         assert out == expected
+
+    def test_config_leaves_no_state_in_the_parser(self, capsys, tmp_path):
+        _, first, _ = run_cli(capsys, "montecarlo")
+        config = tmp_path / "run.conf"
+        config.write_text("bootstrap=1\nt=0.3\n")
+        _, configured, _ = run_cli(capsys, "montecarlo", "--config", str(config))
+        _, again, _ = run_cli(capsys, "montecarlo")
+        assert configured != first
+        assert again == first
 
     @pytest.mark.parametrize(
         "command,entry,message",
