@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from ptqubit import (
+    DensityMatrix,
     ParameterError,
     PtParams,
     PureState,
@@ -200,6 +201,39 @@ class TestEvolveState:
             evolve_state(PureState([0.0, 0.0]), PtParams(), 0.5)
 
 
+def _hex_matrix(*entries):
+    # row-major (real, imag) float.hex pairs -> exact 2x2 complex matrix
+    return np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in entries]).reshape(2, 2)
+
+
+# RK4 matrices captured from the numpy-array integrator; any reordering of the
+# floating-point operations in the flow shows up here as a changed bit.
+FROZEN_FLOWS = {
+    "pts": (
+        minus_y().density(), PtParams(gamma=0.6), PtParams(gamma=0.6).time_from_scaled(np.pi / 4), None,
+        _hex_matrix(("0x1.999999999af06p-4", "0x0.0p+0"), ("0x0.0p+0", "0x1.33333333332e1p-2"),
+                    ("0x0.0p+0", "-0x1.33333333332e1p-2"), ("0x1.cccccccccca19p-1", "0x0.0p+0")),
+    ),
+    "ep": (
+        PureState([0.8, 0.36 + 0.48j]).density(), PtParams(j=0.7, gamma=0.7), 1.3, None,
+        _hex_matrix(("0x1.c9c63d3e967bap-1", "0x0.0p+0"), ("0x1.09d20c2dc75c2p-4", "0x1.34050a35c2933p-2"),
+                    ("0x1.09d20c2dc75c2p-4", "-0x1.34050a35c2933p-2"),
+                    ("0x1.b1ce160b4c210p-4", "-0x1.f58603d1470f0p-63")),
+    ),
+    "ptb": (
+        PureState([0.6, 0.48 - 0.64j]).density(), PtParams(gamma=2.0), 0.9, None,
+        _hex_matrix(("0x1.d4fb5ac370880p-1", "0x0.0p+0"), ("0x1.94ac26c0ac1b0p-5", "0x1.17891f96511f8p-2"),
+                    ("0x1.94ac26c0ac1b0p-5", "-0x1.17891f96511f8p-2"),
+                    ("0x1.582529e47bc1dp-4", "0x1.e58837b7a09a2p-64")),
+    ),
+    "mixed": (
+        DensityMatrix([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), PtParams(j=0.8, gamma=0.5), 2.0, 0.0125,
+        _hex_matrix(("0x1.1d9feba299c29p-1", "0x0.0p+0"), ("0x1.2db543dc14413p-4", "0x1.dfc746db9c6a1p-2"),
+                    ("0x1.2db543dc14413p-4", "-0x1.dfc746db9c6a1p-2"), ("0x1.c4c028bacc7a3p-2", "0x0.0p+0")),
+    ),
+}
+
+
 class TestNonlinearFlow:
     def test_zero_horizon_returns_input(self):
         rho0 = minus_y().density()
@@ -219,6 +253,12 @@ class TestNonlinearFlow:
                       (1.0, 1e-7), (1e308, 1e-300), (np.inf, None)]:
             with pytest.raises(ParameterError):
                 evolve_density_nonlinear(rho0, PtParams(), t, dt=dt)
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_FLOWS))
+    def test_matrices_are_frozen(self, case):
+        rho0, params, t, dt, expected = FROZEN_FLOWS[case]
+        out = evolve_density_nonlinear(rho0, params, t, dt)
+        assert np.array_equal(out.matrix, expected)
 
     def test_hermitian_flip(self):
         params = PtParams(gamma=0.0)
