@@ -225,14 +225,6 @@ def evolve_state_scaled(psi0: PureState, params: PtParams, tau: float) -> PureSt
     return PureState(_evolve(psi0.amplitudes, params, params.time_from_scaled(tau)))
 
 
-def _normalized_flow_rhs(rho: np.ndarray, j: float, gamma: float) -> np.ndarray:
-    # d(rho)/dt = -i j [sx, rho] + gamma {sz, rho} - 2 gamma rho Tr(sz rho)
-    commutator = SIGMA_X @ rho - rho @ SIGMA_X
-    anticommutator = SIGMA_Z @ rho + rho @ SIGMA_Z
-    bias = np.trace(SIGMA_Z @ rho).real
-    return -1j * j * commutator + gamma * anticommutator - 2.0 * gamma * bias * rho
-
-
 def evolve_density_nonlinear(
     rho0: DensityMatrix, params: PtParams, t: float, dt: float | None = None
 ) -> DensityMatrix:
@@ -241,10 +233,13 @@ def evolve_density_nonlinear(
     The cubic collective term -2 gamma rho Tr(sigma_z rho) keeps Tr(rho) = 1
     along exact solutions; a classical fourth-order fixed-step integrator is
     used, with the step shrunk (never grown) so the horizon t is hit exactly.
-    Both t and dt are raw time; dt defaults to 1e-3 scaled-time units.  No
-    per-step renormalization is applied, so trace drift is a direct measure
-    of integration error.  A horizon needing more than MAX_RK4_STEPS steps
-    is rejected.
+    Both t and dt are raw time; dt defaults to 1e-3 scaled-time units.  The
+    integrator runs on the four entries of rho as complex scalars, with the
+    right-hand side written out entry by entry.  No per-step renormalization
+    is applied, so trace drift is a direct measure of integration error.  A
+    horizon needing more than MAX_RK4_STEPS steps, or a rho0 with a
+    non-finite entry, raises ParameterError; a flow that leaves the double
+    range (only a non-physical rho0 can) raises NormalizationError.
     """
     t = float(_as_times(t))
     if dt is None:
@@ -254,18 +249,41 @@ def evolve_density_nonlinear(
     # compared before dividing, so t / dt cannot overflow
     if t / MAX_RK4_STEPS > dt:
         raise ParameterError(f"horizon {t} needs more than {MAX_RK4_STEPS} steps of {dt}")
-    rho = np.array(rho0.matrix, dtype=complex)
+    if not np.isfinite(rho0.matrix).all():
+        raise ParameterError("density matrix has a non-finite entry")
     if t == 0.0:
-        return DensityMatrix(rho)
+        return rho0
     steps = max(1, math.ceil(t / dt))
     h = t / steps
-    j, gamma = params.j, params.gamma
+    half, sixth = 0.5 * h, h / 6.0
+    gamma = params.gamma
+    mij, g2 = -1j * params.j, 2.0 * gamma
+
+    def rhs(a, b, c, d):
+        # -i j [sx, rho] + gamma {sz, rho} - 2 gamma rho Tr(sz rho) on the entries
+        # [[a, b], [c, d]]: [sx, rho] = [[c-b, d-a], [a-d, b-c]], {sz, rho} =
+        # diag(2a, -2d) and Tr(sz rho) = a - d, real for a hermitian rho
+        w = g2 * (a - d).real
+        return (
+            mij * (c - b) + gamma * (a + a) - w * a,
+            mij * (d - a) - w * b,
+            mij * (a - d) - w * c,
+            mij * (b - c) - gamma * (d + d) - w * d,
+        )
+
+    a, b, c, d = rho0.matrix.ravel().tolist()
     for _ in range(steps):
-        k1 = _normalized_flow_rhs(rho, j, gamma)
-        k2 = _normalized_flow_rhs(rho + 0.5 * h * k1, j, gamma)
-        k3 = _normalized_flow_rhs(rho + 0.5 * h * k2, j, gamma)
-        k4 = _normalized_flow_rhs(rho + h * k3, j, gamma)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1a, k1b, k1c, k1d = rhs(a, b, c, d)
+        k2a, k2b, k2c, k2d = rhs(a + half * k1a, b + half * k1b, c + half * k1c, d + half * k1d)
+        k3a, k3b, k3c, k3d = rhs(a + half * k2a, b + half * k2b, c + half * k2c, d + half * k2d)
+        k4a, k4b, k4c, k4d = rhs(a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d)
+        a += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b += sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        c += sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        d += sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    rho = np.array([[a, b], [c, d]])
+    if not np.isfinite(rho).all():
+        raise NormalizationError("nonlinear flow left the double range")
     return DensityMatrix(rho)
 
 

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from ptqubit import (
     DensityMatrix,
+    NormalizationError,
     ParameterError,
     PtParams,
     PureState,
@@ -259,6 +260,21 @@ class TestNonlinearFlow:
         rho0, params, t, dt, expected = FROZEN_FLOWS[case]
         out = evolve_density_nonlinear(rho0, params, t, dt)
         assert np.array_equal(out.matrix, expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_start_rejected(self, bad):
+        rho0 = DensityMatrix([[0.5, bad], [0.0, 0.5]])
+        for t in (0.0, 1.0):
+            with pytest.raises(ParameterError):
+                evolve_density_nonlinear(rho0, PtParams(gamma=0.5), t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diag", [(-5.0, 1.0), (1e300, 0.0)])
+    def test_diverging_flow_raises(self, diag):
+        # non-physical starts whose flow leaves the double range: an error, not a NaN matrix
+        with pytest.raises(NormalizationError):
+            evolve_density_nonlinear(DensityMatrix(np.diag(diag)), PtParams(gamma=2.0), 5.0)
 
     def test_hermitian_flip(self):
         params = PtParams(gamma=0.0)
