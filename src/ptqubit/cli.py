@@ -198,10 +198,12 @@ def _cmd_k3max(args, params):
         tol=args.tol,
     )
     if args.ep_report:
+        if args.grid is not None:
+            raise ParameterError("--grid is not read by --ep-report")
         report = ep_discontinuity(args.ep_eps, **search)
         rows = [[args.ep_eps, report.left_limit, report.right_value, report.jump]]
         return ["eps", "left_limit", "right_value", "jump"], rows
-    points = sweep_gamma(parse_grid(args.grid), **search)
+    points = sweep_gamma(parse_grid("0:0.95:20" if args.grid is None else args.grid), **search)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
     return ["gamma_over_j", "regime", "t_star", "k3_max"], rows
 
@@ -299,7 +301,9 @@ _COMMANDS = {
     }, _cmd_k3, ("j", "gamma")),
     # with --ep-report, main adds "eps" (the value of --ep-eps) to the parameters
     "k3max": _Command("optimal K3 swept over gamma/j ratios", {
-        "--grid": dict(default="0:0.95:20", help="gamma/j grid lo:hi:n (default 0:0.95:20)"),
+        # None, so that an explicit grid is told apart from an absent one and
+        # rejected with --ep-report; _cmd_k3max supplies the default
+        "--grid": dict(default=None, help="gamma/j grid lo:hi:n (default 0:0.95:20)"),
         "--t-hi": dict(type=float, default=DEFAULT_PTS_RANGE[1],
                        help="upper interval bound below the break (default pi/4)"),
         "--wide": dict(action="store_true", help="widen the interval search to [0, pi/2]"),

@@ -224,6 +224,25 @@ class TestK3Max:
         assert "allow_ep" not in err
 
     @pytest.mark.parametrize(
+        "flags,entries",
+        [
+            (["--ep-report", "--grid", "0:0.95:20"], ""),  # the default grid, given explicitly
+            (["--ep-report"], "grid=0:0.5:3"),
+            (["--ep-rep", "--gr", "0:0.5:3"], ""),  # abbreviated
+            (["--grid", "0:0.5:3"], "ep_report=1"),
+        ],
+    )
+    def test_grid_with_ep_report_is_parameter_error(self, capsys, tmp_path, flags, entries):
+        if entries:
+            config = tmp_path / "run.conf"
+            config.write_text(entries + "\n")
+            flags = [*flags, "--config", str(config)]
+        status, out, err = run_cli(capsys, "k3max", *flags)
+        assert status == 2
+        assert out == ""
+        assert err == "ptqubit k3max: --grid is not read by --ep-report\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--grid", "0.5:0.5:1", "--tol", "nan"],  # NaN passed a `tol <= 0` check
