@@ -190,6 +190,10 @@ def _cmd_k3(args, params):
     return _CORRELATOR_COLUMNS, _correlator_rows(correlators(parse_grid(args.grid), params))
 
 
+#: The gamma/j ratios k3max sweeps when no --grid is given.
+_K3MAX_GRID = "0:0.95:20"
+
+
 def _cmd_k3max(args, params):
     search = dict(
         j=params.j,
@@ -203,7 +207,7 @@ def _cmd_k3max(args, params):
         report = ep_discontinuity(args.ep_eps, **search)
         rows = [[args.ep_eps, report.left_limit, report.right_value, report.jump]]
         return ["eps", "left_limit", "right_value", "jump"], rows
-    points = sweep_gamma(parse_grid("0:0.95:20" if args.grid is None else args.grid), **search)
+    points = sweep_gamma(parse_grid(_K3MAX_GRID if args.grid is None else args.grid), **search)
     rows = [[p.gamma_over_j, p.regime.value, p.t_star, p.k3_max] for p in points]
     return ["gamma_over_j", "regime", "t_star", "k3_max"], rows
 
@@ -302,8 +306,8 @@ _COMMANDS = {
     # with --ep-report, main adds "eps" (the value of --ep-eps) to the parameters
     "k3max": _Command("optimal K3 swept over gamma/j ratios", {
         # None, so that an explicit grid is told apart from an absent one and
-        # rejected with --ep-report; _cmd_k3max supplies the default
-        "--grid": dict(default=None, help="gamma/j grid lo:hi:n (default 0:0.95:20)"),
+        # rejected with --ep-report
+        "--grid": dict(default=None, help=f"gamma/j grid lo:hi:n (default {_K3MAX_GRID})"),
         "--t-hi": dict(type=float, default=DEFAULT_PTS_RANGE[1],
                        help="upper interval bound below the break (default pi/4)"),
         "--wide": dict(action="store_true", help="widen the interval search to [0, pi/2]"),

@@ -262,7 +262,8 @@ def evolve_density_nonlinear(
     def rhs(a, b, c, d):
         # -i j [sx, rho] + gamma {sz, rho} - 2 gamma rho Tr(sz rho) on the entries
         # [[a, b], [c, d]]: [sx, rho] = [[c-b, d-a], [a-d, b-c]], {sz, rho} =
-        # diag(2a, -2d) and Tr(sz rho) = a - d, real for a hermitian rho
+        # diag(2a, -2d) and Tr(sz rho) = a - d, real for a hermitian rho.  Keep
+        # each sum in this order: the frozen matrices of the tests pin every bit.
         w = g2 * (a - d).real
         return (
             mij * (c - b) + gamma * (a + a) - w * a,
