@@ -24,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .correlations import correlators, quantum_witness
+from .correlations import _witness, correlators
 from .dilation import dilation_report
 from .errors import ParameterError, PtQubitError, RegimeError
 from .montecarlo import ShotConfig, k3_sampled, sample_conditional, witness_sampled
@@ -122,23 +122,47 @@ def _fmt(value) -> str:
     return format(float(value), ".12g") if isinstance(value, float) else str(value)
 
 
+#: Encodes the rows of a JSON document in C.  With this item separator every
+#: cell lands where json.dumps(doc, indent=2) puts it; only the brackets
+#: around the rows are then rewritten.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_rows(rows: list) -> str:
+    # rows as json.dumps(doc, indent=2) writes them under "rows".  A JSON
+    # string holds no raw newline, so "],\n      [" only falls between rows.
+    if not rows:
+        return "[]"
+    cells = _ROWS_ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + cells + "\n    ]\n  ]"
+
+
 def _emit(columns, rows, args, parameters) -> None:
+    """Write a table as CSV with 12 significant digits, or as one JSON document.
+
+    rows is a 2-d float array for a table of floats, or a list of rows whose
+    cells are str, int or float.  A float array is formatted through one
+    "%.12g" template per row, which writes each cell as format(x, ".12g")
+    does; a list goes cell by cell through _fmt, since "%.12g" would round a
+    large int.  No cell needs CSV quoting: the strings are column names,
+    regimes, quantities and metric names.  The JSON document is byte for
+    byte json.dumps(doc, indent=2), NaN and Infinity included.
+    """
+    floats = isinstance(rows, np.ndarray)
     if args.format == "json":
-        doc = {
+        head = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "parameters": parameters,
             "columns": list(columns),
-            "rows": rows,  # json writes an np.float64 through float.__repr__
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        rows = _json_rows(rows.tolist() if floats else rows)
+        text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ' + rows + "\n}\n"
+    elif floats:
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        text = ",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buffer.getvalue()
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in [columns, *rows])
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -164,22 +188,20 @@ def _cmd_evolve(args, params):
     ]
     # viewed as floats, each (a1, a2) row reads re_a1, im_a1, re_a2, im_a2
     amplitudes = traj.states.view(float)
-    rows = np.column_stack([traj.times, amplitudes, traj.bloch, traj.distance]).tolist()
-    return columns, rows
+    return columns, np.column_stack([traj.times, amplitudes, traj.bloch, traj.distance])
 
 
 def _cmd_distance(args, params):
     traj = trajectory(minus_y(), params, parse_grid(args.grid))
     speeds = speed_profile(traj) if len(traj) >= 2 else np.zeros(1)
-    rows = np.column_stack([traj.times, traj.distance, speeds]).tolist()
-    return ["tau", "distance", "speed"], rows
+    return ["tau", "distance", "speed"], np.column_stack([traj.times, traj.distance, speeds])
 
 
 _CORRELATOR_COLUMNS = ["T", "C12", "C23", "C13", "K3"]
 
 
 def _correlator_rows(cs):
-    return np.column_stack([cs.t, cs.c12, cs.c23, cs.c13, cs.k3]).tolist()
+    return np.column_stack([cs.t, cs.c12, cs.c23, cs.c13, cs.k3])
 
 
 def _cmd_correlators(args, params):
@@ -213,12 +235,11 @@ def _cmd_k3max(args, params):
 
 
 def _cmd_witness(args, params):
-    j = params.j
-    ratios = [params.ratio] if args.grid is None else parse_grid(args.grid)
-    rows = []
-    for ratio in np.asarray(ratios, dtype=float):
-        result = quantum_witness(PtParams(j=j, gamma=ratio * j))
-        rows.append([ratio, result.p_without, result.p_with, result.w])
+    # one ratio, or a whole ratio grid in one call
+    ratios = params.ratio if args.grid is None else parse_grid(args.grid)
+    with np.errstate(over="ignore"):  # an overflowing rate is rejected as out of range
+        p_without, p_with, w = _witness(params.j, ratios * params.j)
+    rows = np.column_stack([ratios, p_without, p_with, w])
     return ["gamma_over_j", "p_without", "p_with", "witness"], rows
 
 

@@ -15,7 +15,8 @@ three instants (0, T, 2T) then give
 and K3 = C12 + C23 - C13 (see assemble_k3, shared with the finite-shot
 estimates).  C13 deliberately uses a single uninterrupted evolution of
 duration 2T, while C23 factorizes through the collapse at T.  Intervals may
-be scalars or arrays: a whole grid of T is propagated in one call.
+be scalars or arrays: a whole grid of T is propagated in one call, and so is
+a whole grid of gain/loss rates for the witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .pt_dynamics import PtParams, Regime, _evolve, evolve_state_scaled
+from .pt_dynamics import EP_THRESHOLD, RATE_LIMIT, PtParams, Regime, _evolve, _raw_times
 from .qstate import PureState, minus_y, plus_y
 
 
@@ -76,9 +77,14 @@ def conditional_prob(q_out: int, q_in: int, tau, params: PtParams):
     two outcomes are complementary to machine precision because the evolved
     state is renormalized before projection.
     """
-    evolved = _evolve(_eigenstate(q_in).amplitudes, params, params.time_from_scaled(tau))
-    p = np.abs(evolved @ _eigenstate(q_out).amplitudes.conj()) ** 2
+    p = _conditional(q_out, q_in, params.j, params.gamma, params.time_from_scaled(tau))
     return p if p.ndim else float(p)
+
+
+def _conditional(q_out: int, q_in: int, j, gamma, t):
+    # p(q_out | q_in) after raw times t at gain/loss rates gamma (see _evolve)
+    evolved = _evolve(_eigenstate(q_in).amplitudes, j, gamma, t)
+    return np.abs(evolved @ _eigenstate(q_out).amplitudes.conj()) ** 2
 
 
 def assemble_k3(a1, c, a2, b, a3):
@@ -132,6 +138,14 @@ def correlators(t_interval, params: PtParams) -> CorrelatorSet:
     return CorrelatorSet(t=t if t.ndim else float(t), c12=c12, c23=c23, c13=c13, k3=k3)
 
 
+def _witness_amplitudes(j, gamma) -> np.ndarray:
+    # The witness preparation before normalization, shape gamma.shape + (2,)
+    w_plus = -np.sqrt(np.maximum(j - gamma, 0.0))
+    w_minus = np.sqrt(j + gamma)
+    amps = w_plus[..., None] * plus_y().amplitudes + w_minus[..., None] * minus_y().amplitudes
+    return amps / math.sqrt(2.0 * j)
+
+
 def witness_initial_state(params: PtParams) -> PureState:
     """The witness preparation (-sqrt(j-gamma)|+>_y + sqrt(j+gamma)|->_y)/sqrt(2j).
 
@@ -143,12 +157,32 @@ def witness_initial_state(params: PtParams) -> PureState:
         raise RegimeError(
             f"witness preparation needs gamma <= j, got gamma/j = {params.ratio}"
         )
-    w_plus = -math.sqrt(max(params.j - params.gamma, 0.0))
-    w_minus = math.sqrt(params.j + params.gamma)
-    amps = (w_plus * plus_y().amplitudes + w_minus * minus_y().amplitudes) / math.sqrt(
-        2.0 * params.j
+    # defensive: analytically normalized already
+    return PureState(_witness_amplitudes(params.j, params.gamma)).normalized()
+
+
+def _witness(j: float, gamma, tau: float = math.pi / 4.0):
+    # (p_without, p_with, w) at scaled time tau for gain/loss rates gamma, a
+    # scalar or a 1-d array, evaluated elementwise in one pass.  The first
+    # rate in order that PtParams or witness_initial_state rejects raises
+    # their error.
+    valid = (0.0 <= gamma) & (gamma <= RATE_LIMIT) & (gamma / j - 1.0 <= EP_THRESHOLD)
+    if not np.all(valid):
+        witness_initial_state(PtParams(j=j, gamma=float(np.ravel(gamma)[np.argmin(valid)])))
+    t = _raw_times(j, gamma, tau)
+    amps = _witness_amplitudes(j, gamma)
+    psi0 = amps / np.linalg.norm(amps, axis=-1)[..., None]
+    # plus_y() is 1/np.sqrt(2), one ulp off _EIGENSTATES: these two readouts
+    # keep the bits of the state-fidelity route they replace
+    plus = plus_y().amplitudes.conj()
+    p_without = np.abs(_evolve(psi0, j, gamma, t) @ plus) ** 2
+    p_with, w = assemble_witness(
+        np.abs(psi0 @ plus) ** 2,
+        p_without,
+        _conditional(+1, +1, j, gamma, t),
+        _conditional(+1, -1, j, gamma, t),
     )
-    return PureState(amps).normalized()  # defensive: analytically normalized already
+    return p_without, p_with, w
 
 
 def quantum_witness(params: PtParams, tau: float = math.pi / 4.0) -> WitnessResult:
@@ -157,15 +191,8 @@ def quantum_witness(params: PtParams, tau: float = math.pi / 4.0) -> WitnessResu
     p_without is the probability of reading +1 after evolving the witness
     preparation for the scaled time tau; p_with averages the same readout
     over the collapse outcomes of a sigma_y measurement performed at time 0.
+    This wraps the package's witness routine for one ratio; inside, gamma
+    may be an array, and a whole ratio grid is evaluated in one call.
     """
-    psi0 = witness_initial_state(params)
-    evolved = evolve_state_scaled(psi0, params, tau)
-    p_without = plus_y().fidelity(evolved)
-
-    p_with, w = assemble_witness(
-        plus_y().fidelity(psi0),
-        p_without,
-        conditional_prob(+1, +1, tau, params),
-        conditional_prob(+1, -1, tau, params),
-    )
-    return WitnessResult(p_with=p_with, p_without=p_without, w=w)
+    p_without, p_with, w = _witness(params.j, params.gamma, tau)
+    return WitnessResult(p_with=float(p_with), p_without=float(p_without), w=float(w))

@@ -7,11 +7,13 @@ so exp(-iHt) closes in terms of two scalars per time:
     U(t) = I - i t H                                          (Gamma = J)
     U(t) = cosh(w t) I - i sinh(w t)/w * H,  w = sqrt(G^2-J^2) (Gamma > J)
 
-The sign of J^2 - Gamma^2 is fixed by the parameters, so each call picks one
-branch and evaluates it over its whole time array.  The sine terms are
-divided by the rate, never by the time, so t = 0 gives the identity without
-a 0/0; only the exact point Gamma = J, where the rate vanishes, takes the
-polynomial form, and near it the other two tend smoothly to I - i t H.
+Inside the package Gamma may also be an array broadcasting against the
+times, and each entry takes the branch of its own sign of J^2 - Gamma^2; a
+scalar Gamma picks one branch and evaluates it over its whole time array.
+The sine terms are divided by the rate, never by the time, so t = 0 gives
+the identity without a 0/0; only the exact point Gamma = J, where the rate
+vanishes, takes the polynomial form, and near it the other two tend smoothly
+to I - i t H.
 
 Times may be a scalar or an array of any shape; matrices come back with
 shape t.shape + (2, 2) and states with shape t.shape + (2,).  U is generally
@@ -108,7 +110,7 @@ class PtParams:
     @property
     def regime(self) -> Regime:
         r = self.ratio
-        if abs(r - 1.0) <= EP_THRESHOLD:
+        if _in_ep_band(r):
             return Regime.EP
         return Regime.PTS if r < 1.0 else Regime.PTB
 
@@ -123,15 +125,31 @@ class PtParams:
         Accepts a scalar or an array; rejects negative or non-finite entries,
         and scaled times whose raw time leaves the double range.
         """
-        tau = _as_times(tau)
-        rate = self.j if self.regime is Regime.EP else self.omega
-        if rate < 1.0:  # tau / rate can overflow only for a rate below 1
-            over = tau > rate * _TIME_LIMIT
-            if over.any() if over.ndim else over:
-                raise ParameterError(
-                    f"scaled time {np.max(tau)} over rate {rate} leaves the double range"
-                )
-        return tau / rate
+        return _raw_times(self.j, self.gamma, tau)
+
+
+def _in_ep_band(ratio):
+    # gamma/j within EP_THRESHOLD of 1; elementwise on an array
+    return abs(ratio - 1.0) <= EP_THRESHOLD
+
+
+def _raw_times(j, gamma, tau):
+    # PtParams.time_from_scaled elementwise over gamma, a scalar or an array
+    # broadcasting against tau: tau = Omega t below the break, j t in the EP
+    # band and w t above it.
+    tau = _as_times(tau)
+    if isinstance(gamma, np.ndarray):
+        rate = np.where(_in_ep_band(gamma / j), j, np.sqrt(abs(j**2 - gamma**2)))
+        limit = np.where(rate < 1.0, rate, math.inf) * _TIME_LIMIT
+    else:
+        rate = j if _in_ep_band(gamma / j) else math.sqrt(abs(j**2 - gamma**2))
+        limit = rate * _TIME_LIMIT if rate < 1.0 else math.inf
+    over = tau > limit  # tau / rate can overflow only for a rate below 1
+    if over.any() if over.ndim else over:  # .any() on a numpy scalar is slow
+        raise ParameterError(
+            f"scaled time {np.max(tau)} over rate {np.min(rate)} leaves the double range"
+        )
+    return tau / rate
 
 
 @dataclass(frozen=True)
@@ -157,27 +175,37 @@ def hamiltonian(params: PtParams) -> Operator2:
     return params.j * SIGMA_X + 1j * params.gamma * SIGMA_Z
 
 
-def _closed_form(params: PtParams, t: np.ndarray, scale_free: bool) -> np.ndarray:
-    # c I - i s H over validated raw times, built from its four entries;
-    # with scale_free, the broken branch is divided by cosh(w t)
-    j, gamma = params.j, params.gamma
+def _closed_form(j, gamma, t: np.ndarray, scale_free: bool) -> np.ndarray:
+    # c I - i s H over validated raw times t, built from its four entries.
+    # gamma is a scalar, or an array broadcasting against t whose entries each
+    # take the branch of their own sign of j^2 - gamma^2.  With scale_free,
+    # the broken branch is divided by cosh(w t).
     d = j * j - gamma * gamma
-    if d > 0.0:
-        w = math.sqrt(d)
-        c, s = np.cos(w * t), np.sin(w * t) / w
-    elif d < 0.0:
-        w = math.sqrt(-d)
-        if scale_free:
-            c, s = 1.0, np.tanh(w * t) / w
-        else:
-            c, s = np.cosh(w * t), np.sinh(w * t) / w
+    if isinstance(d, np.ndarray):
+        d, t = np.broadcast_arrays(d, t)
+        c, s = np.ones(d.shape), t.copy()  # the EP branch
+        for sign in (1.0, -1.0):
+            part = sign * d > 0.0
+            c[part], s[part] = _branch(sign, np.sqrt(sign * d[part]), t[part], scale_free)
     else:
-        c, s = 1.0, t
+        c, s = _branch(d, math.sqrt(abs(d)), t, scale_free)
     u = np.empty(t.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = c + gamma * s
     u[..., 0, 1] = u[..., 1, 0] = -1j * j * s
     u[..., 1, 1] = c - gamma * s
     return u
+
+
+def _branch(sign, w, t, scale_free: bool):
+    # (c, s) for one sign of j^2 - gamma^2, with w = sqrt|j^2 - gamma^2|:
+    # rotation below the break, hyperbolic above it, polynomial at the EP
+    if sign > 0.0:
+        return np.cos(w * t), np.sin(w * t) / w
+    if sign < 0.0:
+        if scale_free:
+            return 1.0, np.tanh(w * t) / w
+        return np.cosh(w * t), np.sinh(w * t) / w
+    return 1.0, t
 
 
 def propagator(params: PtParams, t) -> np.ndarray:
@@ -189,7 +217,7 @@ def propagator(params: PtParams, t) -> np.ndarray:
     """
     t = _as_times(t)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as non-finite
-        u = _closed_form(params, t, scale_free=False)
+        u = _closed_form(params.j, params.gamma, t, scale_free=False)
     if not np.isfinite(u).all():
         raise ParameterError(f"exp(-iHt) overflows at t = {t.max()}; w t is too large")
     return u
@@ -200,11 +228,13 @@ def propagator_scaled(params: PtParams, tau) -> np.ndarray:
     return propagator(params, params.time_from_scaled(tau))
 
 
-def _evolve(amplitudes: np.ndarray, params: PtParams, t) -> np.ndarray:
-    # Unit-norm U(t) psi over validated raw times t.  U is complex symmetric
-    # (sigma_x and sigma_z are), so psi @ U = U psi; amplitudes of shape (2,)
-    # give t.shape + (2,), and a stack of k states gives t.shape + (k, 2).
-    raw = amplitudes @ _closed_form(params, t, scale_free=True)
+def _evolve(amplitudes: np.ndarray, j, gamma, t) -> np.ndarray:
+    # Unit-norm U(t) psi over validated raw times t at gain/loss rates gamma
+    # (see _closed_form).  U is complex symmetric (sigma_x and sigma_z are),
+    # so psi U = U psi.  One state (2,) meets every matrix; a stack of states
+    # (..., 2) pairs with the matrices by broadcasting, one state per rate.
+    u = _closed_form(j, gamma, t, scale_free=True)
+    raw = amplitudes @ u if amplitudes.ndim == 1 else (amplitudes[..., None, :] @ u)[..., 0, :]
     mag = abs(raw)
     norm = np.hypot(mag[..., 0], mag[..., 1])  # no overflow in the squares
     valid = (norm >= NORM_FLOOR) & (norm < math.inf)
@@ -217,12 +247,13 @@ def _evolve(amplitudes: np.ndarray, params: PtParams, t) -> np.ndarray:
 
 def evolve_state(psi0: PureState, params: PtParams, t: float) -> PureState:
     """Propagate and renormalize a pure state over one raw time t."""
-    return PureState(_evolve(psi0.amplitudes, params, _as_times(t)))
+    return PureState(_evolve(psi0.amplitudes, params.j, params.gamma, _as_times(t)))
 
 
 def evolve_state_scaled(psi0: PureState, params: PtParams, tau: float) -> PureState:
     """Propagate and renormalize over one scaled time (tau in PTS/EP, w*t in PTB)."""
-    return PureState(_evolve(psi0.amplitudes, params, params.time_from_scaled(tau)))
+    t = params.time_from_scaled(tau)
+    return PureState(_evolve(psi0.amplitudes, params.j, params.gamma, t))
 
 
 def evolve_density_nonlinear(
@@ -303,7 +334,7 @@ def trajectory(psi0: PureState, params: PtParams, t_grid: Sequence[float]) -> Tr
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ParameterError("time grid must be strictly increasing")
     start = psi0.normalized().amplitudes
-    states = _evolve(start, params, params.time_from_scaled(grid))
+    states = _evolve(start, params.j, params.gamma, params.time_from_scaled(grid))
     a1, a2 = states[:, 0], states[:, 1]
     cross = a1.conj() * a2
     bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, abs(a1) ** 2 - abs(a2) ** 2], axis=-1)

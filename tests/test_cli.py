@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ptqubit.cli
 from ptqubit.cli import main, parse_grid
 from ptqubit.errors import NormalizationError, ParameterError
@@ -316,6 +319,56 @@ class TestWitness:
         assert out == ""
         assert name in err
 
+    # the first offending ratio in grid order names itself, as the per-ratio
+    # loop that the grid evaluation replaced did
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("0:2:5", "witness preparation needs gamma <= j, got gamma/j = 1.5"),
+            ("0:1e200:3", "gain/loss rate gamma must lie in [0, 1e+150], got 5e+199"),
+            ("-1:0.5:5", "gain/loss rate gamma must lie in [0, 1e+150], got -1.0"),
+        ],
+    )
+    def test_offending_grid_ratio_is_parameter_error(self, capsys, grid, message):
+        status, out, err = run_cli(capsys, "witness", f"--grid={grid}")
+        assert (status, out, err) == (2, "", f"ptqubit witness: {message}\n")
+
+    # values from the per-ratio loop; the last ratio of each grid lies in the EP band
+    @pytest.mark.parametrize(
+        "grid,rows",
+        [
+            ("0:1:3", [
+                [0.0, 0.9999999999999998, 0.5, 0.4999999999999998],
+                [0.5, 0.9999999999999996, 0.2500000000000001, 0.7499999999999994],
+                [1.0, 1.232595164407831e-32, 1.232595164407831e-32, 0.0],
+            ]),
+            ("0:1.0000000005:3", [
+                [0.0, 0.9999999999999998, 0.5, 0.4999999999999998],
+                [0.50000000025, 0.9999999999999996, 0.24999999987500002, 0.7500000001249996],
+                [1.0000000005, 1.542124051847921e-19, 1.5421244878312829e-19,
+                 4.359833618293525e-26],
+            ]),
+        ],
+    )
+    def test_grid_into_the_ep_band(self, capsys, grid, rows):
+        status, out, _ = run_cli(capsys, "witness", "--grid", grid, "--format", "json")
+        assert status == 0
+        np.testing.assert_allclose(json.loads(out)["rows"], rows, rtol=0, atol=1e-15)
+
+    def test_grid_matches_expm_route(self, capsys):
+        j = float(np.random.default_rng(7).uniform(0.3, 3.0))
+        status, out, _ = run_cli(
+            capsys, "witness", "--j", repr(j), "--grid", "0:0.99:200", "--format", "json"
+        )
+        assert status == 0
+        rows = np.array(json.loads(out)["rows"])
+        assert len(rows) == 200
+        for ratio, p_without, p_with, w in rows:
+            ref_with, ref_without, ref_w = oracles.witness(j, ratio * j)
+            assert p_without == pytest.approx(ref_without, abs=1e-10)
+            assert p_with == pytest.approx(ref_with, abs=1e-10)
+            assert w == pytest.approx(ref_w, abs=1e-10)
+
 
 class TestMonteCarlo:
     def test_deterministic_given_flags(self, capsys):
@@ -433,6 +486,22 @@ class TestOutputFormats:
         assert doc["columns"] == ["gamma_over_j", "p_without", "p_with", "witness"]
         assert doc["rows"][0][3] == pytest.approx(0.8, abs=1e-12)
         assert json.loads(json.dumps(doc)) == doc
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_table_edge_cells(self, capsys, fmt):
+        # a float table takes the one-template path; stdlib formatting is the reference
+        rows = [[math.nan, math.inf, -math.inf], [-0.0, 5e-324, 1e300], [0.1, -2.5, 123456789.0]]
+        args = argparse.Namespace(command="edge", format=fmt, out=None)
+        ptqubit.cli._emit(["a", "b", "c"], np.array(rows), args, {"j": 1.0})
+        if fmt == "csv":
+            expected = "a,b,c\n" + "".join(
+                ",".join(format(x, ".12g") for x in row) + "\n" for row in rows
+            )
+        else:
+            doc = {"schema_version": "1", "command": "edge", "parameters": {"j": 1.0},
+                   "columns": ["a", "b", "c"], "rows": rows}
+            expected = json.dumps(doc, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_csv_precision_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "correlators", "--gamma", "0.95", "--t", str(PI / 4))
