@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NormalizationError, ParameterError, VanishingNormError
 from .qstate import (
+    ATOL_NORM,
     NORM_FLOOR,
     SIGMA_X,
     SIGMA_Z,
@@ -269,8 +270,10 @@ def evolve_density_nonlinear(
     right-hand side written out entry by entry.  No per-step renormalization
     is applied, so trace drift is a direct measure of integration error.  A
     horizon needing more than MAX_RK4_STEPS steps, or a rho0 with a
-    non-finite entry, raises ParameterError; a flow that leaves the double
-    range (only a non-physical rho0 can) raises NormalizationError.
+    non-finite entry, a trace off 1 or an entry of rho0 - rho0^dag larger
+    than ATOL_NORM, raises ParameterError; positivity is not checked.  A
+    flow that leaves the double range (only a non-physical rho0 can) raises
+    NormalizationError.
     """
     t = float(_as_times(t))
     if dt is None:
@@ -280,8 +283,14 @@ def evolve_density_nonlinear(
     # compared before dividing, so t / dt cannot overflow
     if t / MAX_RK4_STEPS > dt:
         raise ParameterError(f"horizon {t} needs more than {MAX_RK4_STEPS} steps of {dt}")
-    if not np.isfinite(rho0.matrix).all():
+    rho = rho0.matrix
+    if not np.isfinite(rho).all():
         raise ParameterError("density matrix has a non-finite entry")
+    if np.max(abs(rho - rho.conj().T)) > ATOL_NORM:
+        raise ParameterError(f"density matrix is not hermitian within {ATOL_NORM}")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > ATOL_NORM:
+        raise ParameterError(f"density matrix trace {trace.real} is not 1 within {ATOL_NORM}")
     if t == 0.0:
         return rho0
     steps = max(1, math.ceil(t / dt))
@@ -303,7 +312,7 @@ def evolve_density_nonlinear(
             mij * (b - c) - gamma * (d + d) - w * d,
         )
 
-    a, b, c, d = rho0.matrix.ravel().tolist()
+    a, b, c, d = rho.ravel().tolist()
     for _ in range(steps):
         k1a, k1b, k1c, k1d = rhs(a, b, c, d)
         k2a, k2b, k2c, k2d = rhs(a + half * k1a, b + half * k1b, c + half * k1c, d + half * k1d)

@@ -270,11 +270,38 @@ class TestNonlinearFlow:
                 evolve_density_nonlinear(rho0, PtParams(gamma=0.5), t)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("diag", [(-5.0, 1.0), (1e300, 0.0)])
-    def test_diverging_flow_raises(self, diag):
-        # non-physical starts whose flow leaves the double range: an error, not a NaN matrix
+    @pytest.mark.parametrize(
+        "matrix,gamma,t,dt",
+        [
+            (np.diag([-5.0, 6.0]), 2.0, 5.0, None),  # unit trace and hermitian, not positive
+            (np.diag([1.0, 0.0]), 2.0, 1e300, 1e300),  # a valid start, one overflowing step
+        ],
+    )
+    def test_diverging_flow_raises(self, matrix, gamma, t, dt):
+        # flows that leave the double range: an error, not a NaN matrix
         with pytest.raises(NormalizationError):
-            evolve_density_nonlinear(DensityMatrix(np.diag(diag)), PtParams(gamma=2.0), 5.0)
+            evolve_density_nonlinear(DensityMatrix(matrix), PtParams(gamma=gamma), t, dt)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.diag([-5.0, 1.0]),  # trace -4
+            np.diag([1e300, 0.0]),
+            np.diag([0.5, 0.0]),  # trace 0.5; the flow kept it near 0.400 at gamma 0.5, t 3
+            np.array([[0.5, 0.3], [0.1, 0.5]]),  # not hermitian
+            np.array([[0.5, 0.0], [0.0, 0.5 + 1e-6j]]),
+            np.array([[1.0 + 2e-9, 0.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_start_off_the_density_contract_rejected(self, matrix):
+        with pytest.raises(ParameterError):
+            evolve_density_nonlinear(DensityMatrix(matrix), PtParams(gamma=0.5), 3.0)
+
+    def test_start_within_the_gate_accepted(self):
+        # rounding-level departures from unit trace and hermiticity pass the 1e-9 gate
+        rho0 = np.array([[0.5 + 5e-10, 0.25 + 1e-10j], [0.25, 0.5]])
+        out = evolve_density_nonlinear(DensityMatrix(rho0), PtParams(gamma=0.5), 0.1)
+        assert abs(out.trace - 1.0) < 1e-8
 
     def test_hermitian_flip(self):
         params = PtParams(gamma=0.0)
