@@ -14,8 +14,6 @@ residual): every other package error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -141,10 +139,10 @@ def _emit(columns, rows, args, parameters) -> None:
     """Write a table as CSV with 12 significant digits, or as one JSON document.
 
     rows is a 2-d float array for a table of floats, or a list of rows whose
-    cells are str, int or float.  A float array is formatted through one
-    "%.12g" template per row, which writes each cell as format(x, ".12g")
-    does; a list goes cell by cell through _fmt, since "%.12g" would round a
-    large int.  No cell needs CSV quoting: the strings are column names,
+    cells are str, int or float.  A float array goes through one "%.12g"
+    template per row, repeated over the table and filled in one call, which
+    writes each cell as format(x, ".12g") does; a list goes cell by cell
+    through _fmt, since "%.12g" would round a large int.  No cell needs CSV quoting: the strings are column names,
     regimes, quantities and metric names.  The JSON document is byte for
     byte json.dumps(doc, indent=2), NaN and Infinity included.
     """
@@ -156,8 +154,8 @@ def _emit(columns, rows, args, parameters) -> None:
             "parameters": parameters,
             "columns": list(columns),
         }
-        rows = _json_rows(rows.tolist() if floats else rows)
-        text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ' + rows + "\n}\n"
+        body = _json_rows(rows.tolist() if floats else rows)
+        text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ' + body + "\n}\n"
     elif floats:
         line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
         text = ",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
