@@ -137,15 +137,14 @@ def _in_ep_band(ratio):
 def _raw_times(j, gamma, tau):
     # PtParams.time_from_scaled elementwise over gamma, a scalar or an array
     # broadcasting against tau: tau = Omega t below the break, j t in the EP
-    # band and w t above it.
+    # band and w t above it.  tau / rate can overflow only for a rate below 1.
     tau = _as_times(tau)
     if isinstance(gamma, np.ndarray):
         rate = np.where(_in_ep_band(gamma / j), j, np.sqrt(abs(j**2 - gamma**2)))
-        limit = np.where(rate < 1.0, rate, math.inf) * _TIME_LIMIT
+        over = tau > np.where(rate < 1.0, rate, math.inf) * _TIME_LIMIT
     else:
         rate = j if _in_ep_band(gamma / j) else math.sqrt(abs(j**2 - gamma**2))
-        limit = rate * _TIME_LIMIT if rate < 1.0 else math.inf
-    over = tau > limit  # tau / rate can overflow only for a rate below 1
+        over = tau > rate * _TIME_LIMIT if rate < 1.0 else np.False_
     if over.any() if over.ndim else over:  # .any() on a numpy scalar is slow
         raise ParameterError(
             f"scaled time {np.max(tau)} over rate {np.min(rate)} leaves the double range"
@@ -272,8 +271,8 @@ def evolve_density_nonlinear(
     horizon needing more than MAX_RK4_STEPS steps, or a rho0 with a
     non-finite entry, a trace off 1 or an entry of rho0 - rho0^dag larger
     than ATOL_NORM, raises ParameterError; positivity is not checked.  A
-    flow that leaves the double range (only a non-physical rho0 can) raises
-    NormalizationError.
+    flow that leaves the double range (a non-positive rho0 or a step too
+    long for the rates can drive it there) raises NormalizationError.
     """
     t = float(_as_times(t))
     if dt is None:
