@@ -142,9 +142,10 @@ def _emit(columns, rows, args, parameters) -> None:
     cells are str, int or float.  A float array goes through one "%.12g"
     template per row, repeated over the table and filled in one call, which
     writes each cell as format(x, ".12g") does; a list goes cell by cell
-    through _fmt, since "%.12g" would round a large int.  No cell needs CSV quoting: the strings are column names,
-    regimes, quantities and metric names.  The JSON document is byte for
-    byte json.dumps(doc, indent=2), NaN and Infinity included.
+    through _fmt, since "%.12g" would round a large int.  No cell needs CSV
+    quoting: the strings are column names, regimes, quantities and metric
+    names.  The JSON document is byte for byte json.dumps(doc, indent=2),
+    NaN and Infinity included.
     """
     floats = isinstance(rows, np.ndarray)
     if args.format == "json":

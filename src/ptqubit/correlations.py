@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .pt_dynamics import EP_THRESHOLD, RATE_LIMIT, PtParams, Regime, _evolve, _raw_times
+from .pt_dynamics import RATE_LIMIT, PtParams, Regime, _evolve, _in_ep_band, _raw_times
 from .qstate import PureState, minus_y, plus_y
 
 
@@ -166,7 +166,8 @@ def _witness(j: float, gamma, tau: float = math.pi / 4.0):
     # scalar or a 1-d array, evaluated elementwise in one pass.  The first
     # rate in order that PtParams or witness_initial_state rejects raises
     # their error.
-    valid = (0.0 <= gamma) & (gamma <= RATE_LIMIT) & (gamma / j - 1.0 <= EP_THRESHOLD)
+    ratio = gamma / j
+    valid = (0.0 <= gamma) & (gamma <= RATE_LIMIT) & ((ratio < 1.0) | _in_ep_band(ratio))
     if not np.all(valid):
         witness_initial_state(PtParams(j=j, gamma=float(np.ravel(gamma)[np.argmin(valid)])))
     t = _raw_times(j, gamma, tau)
